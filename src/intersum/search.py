@@ -20,7 +20,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
 from .cyclic import MAX_SWEEP_GROUND, enumerate_cyclic, intervals_of_length
@@ -32,18 +31,17 @@ from .errors import (
     TooLargeError,
 )
 from .setcore import (
-    CANONICAL_LIMIT,
     Family,
+    _canonical_masks,
     _check_ground,
-    _relabeled_masks,
+    _check_member_size,
     canonical_form,
     family_to_dict,
-    fingerprint,
     is_star,
     ksubset_masks,
     star,
 )
-from .weights import intersection_profile, omega_cross, omega_family
+from .weights import omega_cross, omega_family
 
 # C(n, k) caps: exact searches enumerate up to 2^C states, the annealer only
 # needs the universe (and its adjacency) in memory.
@@ -103,8 +101,7 @@ class HeuristicConfig:
 
 def _check_params(n: int, k: int) -> None:
     _check_ground(n)
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise BadSizeError(f"k={k!r} out of range 1..{n}")
+    _check_member_size(n, k)
 
 
 def _pair_table(masks_a, masks_b) -> list[list[int]]:
@@ -126,55 +123,22 @@ def _bits_list(mask: int) -> list[int]:
 
 
 def _family_classes(n: int, k: int, index_sets, universe) -> tuple[Family, ...]:
-    """Collapse raw optimal families to one representative per relabelling
-    class, canonical forms when n permits, fingerprint survivors otherwise."""
-    families = [
-        Family.from_bitmasks(n, k, [universe[i] for i in idxs]) for idxs in index_sets
-    ]
-    if n <= CANONICAL_LIMIT:
-        by_key = {}
-        for f in families:
-            c = canonical_form(f)
-            by_key[c.bitmasks] = c
-        return tuple(by_key[key] for key in sorted(by_key))
-    by_fp = {}
-    for f in families:
-        by_fp.setdefault(fingerprint(f), f)
-    return tuple(sorted(by_fp.values(), key=lambda f: f.bitmasks))
-
-
-def _canonical_pair(fam_a: Family, fam_b: Family) -> tuple[Family, Family]:
-    """Least simultaneous relabelling of an ordered pair."""
-    n = fam_a.n
-    ma, mb = fam_a.bitmasks, fam_b.bitmasks
-    best = None
-    for image in permutations(range(n)):
-        cand = (_relabeled_masks(ma, image), _relabeled_masks(mb, image))
-        if best is None or cand < best:
-            best = cand
-    return (
-        Family.from_bitmasks(n, fam_a.k, best[0]),
-        Family.from_bitmasks(n, fam_b.k, best[1]),
-    )
+    """Collapse raw optimal families to their distinct canonical forms, one
+    per relabelling class, in ascending bitmask order."""
+    by_key = {}
+    for idxs in index_sets:
+        c = canonical_form(Family.from_bitmasks(n, k, [universe[i] for i in idxs]))
+        by_key[c.bitmasks] = c
+    return tuple(by_key[key] for key in sorted(by_key))
 
 
 def _pair_classes(n: int, k: int, l: int, raw_pairs) -> tuple:
     """Same collapse for ordered (A, B) pairs, relabelled jointly."""
-    if n <= CANONICAL_LIMIT:
-        by_key = {}
-        for fa, fb in raw_pairs:
-            ca, cb = _canonical_pair(fa, fb)
-            by_key[(ca.bitmasks, cb.bitmasks)] = (ca, cb)
-        return tuple(by_key[key] for key in sorted(by_key))
-    by_fp = {}
-    for fa, fb in raw_pairs:
-        key = (
-            fingerprint(fa),
-            fingerprint(fb),
-            intersection_profile(fa, fb).counts,
-        )
-        by_fp.setdefault(key, (fa, fb))
-    return tuple(sorted(by_fp.values(), key=lambda p: (p[0].bitmasks, p[1].bitmasks)))
+    keys = {_canonical_masks(n, [fa.bitmasks, fb.bitmasks]) for fa, fb in raw_pairs}
+    return tuple(
+        (Family.from_bitmasks(n, k, ma), Family.from_bitmasks(n, l, mb))
+        for ma, mb in sorted(keys)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +643,7 @@ def heuristic_max(
 
     Returns the best family (or pair) found; raises CounterexampleError if
     that ever exceeds a proved bound.  Witnesses are reported as found, not
-    canonicalized, since the interesting ground sets are beyond the
-    canonicalization limit.
+    canonicalized: the annealer's seeded result is the report.
     """
     t0 = time.perf_counter()
     cfg = config or HeuristicConfig()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -20,23 +20,38 @@ from .errors import (
 )
 
 MAX_GROUND = 63
-# Canonicalization minimizes over all n! relabellings; 10! is the ceiling
-# we are willing to pay (~3.6M permutations).
-CANONICAL_LIMIT = 10
+
+
+def _is_int(value: object) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_ground(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise BadSizeError(f"ground-set size must be a positive integer, got {n!r}")
     if n > MAX_GROUND:
         raise TooLargeError(f"ground-set size {n} exceeds the bitmask limit {MAX_GROUND}")
 
 
+def _check_member_size(n: int, k: int) -> None:
+    if not _is_int(k) or not 1 <= k <= n:
+        raise BadSizeError(f"member size k={k!r} out of range 1..{n}")
+
+
+def _items(value: Iterable, what: str) -> Iterator:
+    """iter(value), rejecting a scalar where a list belongs."""
+    try:
+        return iter(value)
+    except TypeError as exc:
+        raise BadElementError(f"{what} must be a list, got {value!r}") from exc
+
+
 def elements_to_bits(elements: Iterable[int], n: int) -> int:
     """Pack 1-based elements into a bitmask, rejecting out-of-range values."""
     bits = 0
-    for e in elements:
-        if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+    for e in _items(elements, "a set"):
+        if not _is_int(e) or not 1 <= e <= n:
             raise BadElementError(f"element {e!r} outside ground set 1..{n}")
         bits |= 1 << (e - 1)
     return bits
@@ -101,8 +116,7 @@ class Family:
 
     def __post_init__(self) -> None:
         _check_ground(self.n)
-        if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
-            raise BadSizeError(f"member size k={self.k!r} out of range 1..{self.n}")
+        _check_member_size(self.n, self.k)
         prev = -1
         for ks in self.members:
             if ks.n != self.n:
@@ -141,15 +155,14 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
     """Validate raw element lists and build a Family.
 
     Raises BadSizeError when some set does not have exactly k distinct
-    elements, BadElementError on out-of-range elements, DuplicateSetError on
-    repeats.
+    elements, BadElementError on out-of-range elements or sets that are not
+    lists of elements, DuplicateSetError on repeats.
     """
     _check_ground(n)
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise BadSizeError(f"member size k={k!r} out of range 1..{n}")
+    _check_member_size(n, k)
     masks: list[int] = []
     seen: set[int] = set()
-    for s in sets:
+    for s in _items(sets, "sets"):
         bits = elements_to_bits(s, n)
         if bits.bit_count() != k:
             raise BadSizeError(
@@ -182,8 +195,7 @@ def family_from_dict(data: dict) -> Family:
 def ksubset_masks(n: int, k: int) -> tuple[int, ...]:
     """All k-subset bitmasks of {1..n} in ascending numeric order."""
     _check_ground(n)
-    if not 1 <= k <= n:
-        raise BadSizeError(f"k={k} out of range 1..{n}")
+    _check_member_size(n, k)
     masks = []
     for positions in combinations(range(n), k):
         m = 0
@@ -200,8 +212,7 @@ def full_family(n: int, k: int) -> Family:
 def star(n: int, k: int, x: int) -> Family:
     """All k-subsets of {1..n} containing the fixed element x."""
     _check_ground(n)
-    if not 1 <= k <= n:
-        raise BadSizeError(f"k={k} out of range 1..{n}")
+    _check_member_size(n, k)
     if not 1 <= x <= n:
         raise BadElementError(f"center {x} outside ground set 1..{n}")
     xbit = 1 << (x - 1)
@@ -292,17 +303,235 @@ def apply_perm(family: Family, perm: Permutation) -> Family:
     return Family.from_bitmasks(family.n, family.k, (perm.of_bits(b) for b in family.bitmasks))
 
 
-def _relabeled_masks(bitmasks: Sequence[int], image: Sequence[int]) -> tuple[int, ...]:
+def _map_bits(image: Sequence[int], bits: int) -> int:
     # image[p] = target bit position for source bit position p
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << image[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _twin_classes(n: int, colours: Sequence[Sequence[int]]) -> list[int]:
+    """Masks of the classes of elements whose transposition fixes every colour.
+
+    Such transpositions generate a product of symmetric groups, so the
+    relation is an equivalence and x need only be tested against one element
+    of each class.
+    """
+    members = [frozenset(ms) for ms in colours]
+    classes: list[int] = []
+    for x in range(n):
+        bx = 1 << x
+        for i, cls in enumerate(classes):
+            swap = (cls & -cls) | bx
+            if all(
+                (m & swap) in (0, swap) or m ^ swap in ms
+                for ms in members
+                for m in ms
+            ):
+                classes[i] |= bx
+                break
+        else:
+            classes.append(bx)
+    return classes
+
+
+def _cell(elements: int, positions: int) -> tuple[int, tuple[int, ...]]:
+    """A cell of the partition: its elements, and lows[c], the mask of its c
+    lowest target positions."""
+    lows = [0]
+    while positions:
+        low = positions & -positions
+        lows.append(lows[-1] | low)
+        positions ^= low
+    return elements, tuple(lows)
+
+
+def _split(cells: list, member: int) -> list:
+    """Refine cells: member's part of each cell takes its lowest positions."""
     out = []
-    for bits in bitmasks:
-        m = 0
-        while bits:
-            low = bits & -bits
-            m |= 1 << image[low.bit_length() - 1]
-            bits ^= low
-        out.append(m)
-    out.sort()
+    for elements, lows in cells:
+        inside = elements & member
+        if inside and inside != elements:
+            c = inside.bit_count()
+            out.append((inside, lows[: c + 1]))
+            out.append(_cell(elements ^ inside, lows[-1] ^ lows[c]))
+        else:
+            out.append((elements, lows))
+    return out
+
+
+def _merge_twins(cells: list, twins: list[int]) -> list:
+    """Merge the cells joined by twin classes.
+
+    Once a colour is placed, its members are unions of cells, and cells
+    joined by transpositions fixing every placed colour may be relabelled
+    among their joint positions without changing what is placed.
+    """
+    blocks = [(elements, lows[-1]) for elements, lows in cells]
+    for t in twins:
+        hit = [b for b in blocks if b[0] & t]
+        if len(hit) > 1:
+            blocks = [b for b in blocks if not b[0] & t]
+            blocks.append((sum(e for e, _ in hit), sum(p for _, p in hit)))
+    return [_cell(e, p) for e, p in blocks]
+
+
+def _labelling(n: int, cells: list) -> list[int]:
+    """Element (bit position) sent to each target position, cell by cell."""
+    label = [0] * n
+    for elements, lows in cells:
+        positions = lows[-1]
+        while elements:
+            e, p = elements & -elements, positions & -positions
+            label[p.bit_length() - 1] = e.bit_length() - 1
+            elements ^= e
+            positions ^= p
+    return label
+
+
+def _canonical_masks(n: int, colours: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Least simultaneous relabelling of several member lists ("colours").
+
+    Returns, per colour, the sorted bitmask tuple of the relabelling that
+    minimises the concatenation of those tuples over all n! bijections.  The
+    search places members one at a time, colour by colour, on a partition of
+    the ground set whose cells own sets of target positions.  A member's
+    least image puts its elements on the lowest positions of each cell; the
+    next entry of the answer is the least such image, so only members
+    reaching it are branched on, and placing one splits each cell into
+    (member & cell, cell - member).  Branches are cut when their prefix
+    exceeds the best found, when tied members are swapped by element
+    transpositions fixing every colour placed so far ("twins"; such cells
+    are merged again when the colour is done), and, as in McKay and
+    Piperno's individualisation-refinement, when an automorphism read off two
+    equal leaves maps a branch onto one already searched.
+    """
+    last = len(colours) - 1
+    twins = [
+        [c for c in _twin_classes(n, colours[: i + 1]) if c & (c - 1)]
+        for i in range(len(colours))
+    ]
+    best: list[int] = []  # least image sequence found so far
+    best_path: list[int] = []  # members placed to reach it
+    best_label: list[int] = []  # its leaf labelling
+    autos: list[list[int]] = []  # automorphisms read off equal leaves
+    branch_cells: dict[int, list] = {}  # partition at each branch depth
+    prefix: list[int] = []
+    path: list[int] = []
+
+    def stabilises(g: list[int], cells: list) -> bool:
+        return all(_map_bits(g, e) == e for e, _ in cells)
+
+    def representatives(tied: list[int], cells: list, phase: int) -> list[int]:
+        # twins sharing a cell may be permuted freely, so a member's orbit
+        # is fixed by its count inside each such group and its other bits
+        groups = [g for e, _ in cells for t in twins[phase] if (g := e & t) & (g - 1)]
+        if len(tied) == 1 or not groups:
+            return tied
+        fixed = ~sum(groups)  # the groups are disjoint
+        reps: dict[tuple, int] = {}
+        for m in tied:
+            reps.setdefault((m & fixed, *((m & g).bit_count() for g in groups)), m)
+        return list(reps.values())
+
+    def searched(m: int, done: list[int], cells: list) -> bool:
+        gens = [g for g in autos if stabilises(g, cells)]
+        orbit, frontier = set(done), list(done)
+        while frontier and m not in orbit:
+            x = frontier.pop()
+            for g in gens:
+                y = _map_bits(g, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        return m in orbit
+
+    def descend(cells: list, rest: list[int], phase: int, tight: bool) -> int | None:
+        """Search below one node; tight means the prefix equals the best's.
+        Returns the depth of a branch node to resume at when a leaf repeats
+        the best one by an automorphism fixing that node, else None."""
+        nonlocal best, best_path, best_label
+        base = len(prefix)
+        try:
+            while True:
+                while not rest:
+                    if phase == last:
+                        label = _labelling(n, cells)
+                        if not tight:
+                            best, best_path, best_label = prefix[:], path[:], label
+                            return None
+                        gamma = [0] * n
+                        for p in range(n):
+                            gamma[best_label[p]] = label[p]
+                        autos.append(gamma)
+                        j = next(i for i, (a, b) in enumerate(zip(path, best_path)) if a != b)
+                        return j if stabilises(gamma, branch_cells[j]) else None
+                    cells = _merge_twins(cells, twins[phase])
+                    phase += 1
+                    rest = list(colours[phase])
+                images = []
+                settled = True  # every member a union of cells, its image fixed
+                for m in rest:
+                    img = 0
+                    for elements, lows in cells:
+                        part = m & elements
+                        if part:
+                            settled = settled and part == elements
+                            img |= lows[part.bit_count()]
+                    images.append(img)
+                if settled:
+                    # fixed images are distinct; placing them in order splits nothing
+                    placed = sorted(zip(images, rest))
+                    prefix.extend(img for img, _ in placed)
+                    path.extend(m for _, m in placed)
+                    rest = []
+                    if tight:
+                        head = best[: len(prefix)]
+                        if prefix > head:
+                            return None
+                        tight = prefix == head
+                    continue
+                low = min(images)
+                if tight:
+                    if low > best[len(prefix)]:
+                        return None
+                    tight = low == best[len(prefix)]
+                tied = [m for m, img in zip(rest, images) if img == low]
+                tied = representatives(tied, cells, phase)
+                depth = len(prefix)
+                prefix.append(low)
+                if len(tied) == 1:
+                    m = tied[0]
+                    path.append(m)
+                    cells = _split(cells, m)
+                    rest = [x for x in rest if x != m]
+                    continue
+                branch_cells[depth] = cells
+                done: list[int] = []
+                for m in tied:
+                    if autos and searched(m, done, cells):
+                        continue
+                    path.append(m)
+                    jump = descend(_split(cells, m), [x for x in rest if x != m], phase, tight)
+                    path.pop()
+                    if jump is not None and jump < depth:
+                        return jump
+                    # the child reached a leaf, so best now extends this prefix
+                    tight = True
+                    done.append(m)
+                return None
+        finally:
+            del prefix[base:]
+            del path[base:]
+
+    descend([_cell((1 << n) - 1, (1 << n) - 1)], list(colours[0]), 0, False)
+    out, i = [], 0
+    for ms in colours:
+        out.append(tuple(best[i : i + len(ms)]))
+        i += len(ms)
     return tuple(out)
 
 
@@ -311,26 +540,9 @@ def canonical_form(family: Family) -> Family:
 
     Minimizes the sorted bitmask tuple over all n! permutations of the ground
     set, so two families are isomorphic iff their canonical forms are equal.
-    Refuses n above CANONICAL_LIMIT.
     """
-    if family.n > CANONICAL_LIMIT:
-        raise TooLargeError(
-            f"canonical form needs {family.n}! relabellings; limit is n <= {CANONICAL_LIMIT}"
-        )
-    if not family.members:
-        return family
-    if family.k == 1:
-        # any m distinct singletons relabel to {1}..{m}, the least possible
-        return Family.from_bitmasks(
-            family.n, 1, (1 << i for i in range(len(family.members)))
-        )
-    masks = family.bitmasks
-    best = masks
-    for image in permutations(range(family.n)):
-        cand = _relabeled_masks(masks, image)
-        if cand < best:
-            best = cand
-    return Family.from_bitmasks(family.n, family.k, best)
+    (masks,) = _canonical_masks(family.n, [family.bitmasks])
+    return Family.from_bitmasks(family.n, family.k, masks)
 
 
 def element_degrees(family: Family) -> tuple[int, ...]:
@@ -349,7 +561,7 @@ def fingerprint(family: Family) -> tuple:
 
     Combines the sorted degree sequence with the multiset of pairwise
     intersection sizes.  Equal canonical forms imply equal fingerprints;
-    the converse can fail, so use canonical_form when n permits.
+    the converse can fail, so use canonical_form to decide isomorphism.
     """
     counts = [0] * (family.k + 1)
     ms = family.bitmasks

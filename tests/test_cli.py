@@ -117,6 +117,24 @@ def test_omega_wrong_shape(run_cli, tmp_path):
     assert "n, k, sets" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 5, "k": 2, "sets": 7}',
+        '{"n": 5, "k": 2, "sets": [7]}',
+        '{"n": true, "k": 1, "sets": [[1]]}',
+        '{"n": 5, "k": true, "sets": [[1]]}',
+    ],
+)
+def test_omega_malformed_family_is_usage_error(run_cli, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli("omega", "family", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_omega_duplicate_set_rejected(run_cli, tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"n": 5, "k": 2, "sets": [[1, 2], [2, 1]]}')

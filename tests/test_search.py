@@ -14,14 +14,43 @@ from intersum.errors import (
 from intersum.search import (
     HeuristicConfig,
     SearchResult,
+    _family_classes,
+    _pair_classes,
     heuristic_max,
     max_omega_cross,
     max_omega_intersecting,
     max_omega_intersecting_naive,
     uniqueness_report,
 )
-from intersum.setcore import is_intersecting, is_star, make_family, star
+from intersum.setcore import (
+    fingerprint,
+    is_intersecting,
+    is_star,
+    ksubset_masks,
+    make_family,
+    star,
+)
 from intersum.weights import omega_cross, omega_family
+
+
+# --- witness normalization ---
+
+# C6 and two disjoint triangles on 11 points: equal fingerprints, not isomorphic
+HEXAGON = make_family(11, 2, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+TRIANGLES = make_family(11, 2, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+
+
+def test_family_classes_keep_equal_fingerprints_apart():
+    assert fingerprint(HEXAGON) == fingerprint(TRIANGLES)
+    universe = ksubset_masks(11, 2)
+    index_sets = [[universe.index(m) for m in f.bitmasks] for f in (HEXAGON, TRIANGLES)]
+    assert len(_family_classes(11, 2, index_sets, universe)) == 2
+
+
+def test_pair_classes_keep_equal_fingerprints_apart():
+    point = make_family(11, 1, [[11]])
+    classes = _pair_classes(11, 2, 1, [(HEXAGON, point), (TRIANGLES, point)])
+    assert len(classes) == 2
 
 
 # --- exact family search ---

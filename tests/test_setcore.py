@@ -15,10 +15,10 @@ from intersum.errors import (
     TooLargeError,
 )
 from intersum.setcore import (
-    CANONICAL_LIMIT,
     Family,
     KSet,
     Permutation,
+    _canonical_masks,
     apply_perm,
     bits_to_elements,
     canonical_form,
@@ -51,6 +51,61 @@ def small_families(max_n=8, min_k=1):
         return make_family(n, k, members)
 
     return st.composite(build)()
+
+
+def small_pairs(max_n=7):
+    """Strategy: (n, A masks, B masks), two random families on one ground set."""
+
+    def build(draw):
+        n = draw(st.integers(2, max_n))
+        sides = []
+        for _ in range(2):
+            k = draw(st.integers(1, n))
+            universe = ksubset_masks(n, k)
+            sides.append(
+                sorted(draw(st.lists(st.sampled_from(universe), max_size=6, unique=True)))
+            )
+        return (n, *sides)
+
+    return st.composite(build)()
+
+
+def symmetric_colours(max_n=7):
+    """Strategy: (n, colours), one or two member lists closed under a random
+    permutation group, so that the inputs have many automorphisms."""
+
+    def build(draw):
+        n = draw(st.integers(2, max_n))
+        gens = draw(st.lists(st.permutations(list(range(n))), min_size=1, max_size=2))
+        colours = []
+        for _ in range(draw(st.integers(1, 2))):
+            universe = ksubset_masks(n, draw(st.integers(1, n)))
+            orbit = set(draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3)))
+            frontier = list(orbit)
+            while frontier:
+                bits = frontier.pop()
+                for g in gens:
+                    image = sum(1 << g[p] for p in range(n) if bits >> p & 1)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            colours.append(sorted(orbit))
+        return n, colours
+
+    return st.composite(build)()
+
+
+def brute_canonical(n, colours):
+    """Reference oracle: the least jointly relabelled sorted bitmask tuples,
+    one per member list, over all n! bijections of the ground set."""
+
+    def relabel(bits, image):
+        return sum(1 << image[p] for p in range(n) if bits >> p & 1)
+
+    return min(
+        tuple(tuple(sorted(relabel(m, image) for m in ms)) for ms in colours)
+        for image in permutations(range(n))
+    )
 
 
 def perm_images(n):
@@ -145,6 +200,15 @@ def test_family_from_dict_rejects_bad_shape():
         family_from_dict({"n": 4, "sets": [[1, 2]]})
     with pytest.raises(BadSizeError):
         family_from_dict([1, 2, 3])
+    with pytest.raises(BadElementError):
+        family_from_dict({"n": 5, "k": 2, "sets": 7})
+    with pytest.raises(BadElementError):
+        family_from_dict({"n": 5, "k": 2, "sets": [7]})
+    # JSON booleans are not sizes, although Python counts True as 1
+    with pytest.raises(BadSizeError):
+        family_from_dict({"n": True, "k": 1, "sets": [[1]]})
+    with pytest.raises(BadSizeError):
+        family_from_dict({"n": 5, "k": True, "sets": [[1]]})
 
 
 def test_ksubset_masks_sorted_and_complete():
@@ -267,23 +331,69 @@ def test_canonical_form_idempotent_and_orbit_constant():
 def test_canonical_form_singletons_fast_path():
     f = make_family(9, 1, [[7], [2], [9]])
     assert canonical_form(f) == make_family(9, 1, [[1], [2], [3]])
-    # agrees with the generic search at a size where both run
     g = make_family(5, 1, [[4], [2]])
-    masks = g.bitmasks
-    best = masks
-    from intersum.setcore import _relabeled_masks
-
-    for image in permutations(range(5)):
-        cand = _relabeled_masks(masks, image)
-        if cand < best:
-            best = cand
-    assert canonical_form(g).bitmasks == best == (1, 2)
+    assert canonical_form(g).bitmasks == brute_canonical(5, [g.bitmasks])[0] == (1, 2)
 
 
 def test_canonical_form_size_limit():
-    f = star(CANONICAL_LIMIT + 1, 2, 1)
-    with pytest.raises(TooLargeError):
-        canonical_form(f)
+    # no limit below MAX_GROUND: stars on 10 and 11 points relabel to star 1
+    assert canonical_form(star(11, 2, 4)) == star(11, 2, 1)
+    assert canonical_form(star(10, 3, 7)) == star(10, 3, 1)
+
+
+def test_canonical_form_exhaustive_small():
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            universe = ksubset_masks(n, k)
+            for sub in range(1 << len(universe)):
+                masks = [m for i, m in enumerate(universe) if sub >> i & 1]
+                fam = Family.from_bitmasks(n, k, masks)
+                assert canonical_form(fam).bitmasks == brute_canonical(n, [masks])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families(max_n=7))
+def test_canonical_form_matches_oracle(fam):
+    assert canonical_form(fam).bitmasks == brute_canonical(fam.n, [fam.bitmasks])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(max_n=7))
+def test_canonical_pair_matches_oracle(pair):
+    n, ma, mb = pair
+    assert _canonical_masks(n, [ma, mb]) == brute_canonical(n, [ma, mb])
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_colours(max_n=7))
+def test_canonical_symmetric_inputs_match_oracle(case):
+    # automorphism pruning only acts when leaves repeat, as they do here
+    n, colours = case
+    assert _canonical_masks(n, colours) == brute_canonical(n, colours)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families(max_n=12), st.data())
+def test_canonical_form_relabel_invariant(fam, data):
+    image = tuple(data.draw(perm_images(fam.n)))
+    assert canonical_form(apply_perm(fam, Permutation(fam.n, image))) == canonical_form(fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_pairs(max_n=12), st.data())
+def test_canonical_pair_relabel_invariant(pair, data):
+    n, ma, mb = pair
+    perm = Permutation(n, tuple(data.draw(perm_images(n))))
+    moved = [sorted(map(perm.of_bits, ma)), sorted(map(perm.of_bits, mb))]
+    assert _canonical_masks(n, moved) == _canonical_masks(n, [ma, mb])
+
+
+def test_canonical_form_separates_equal_fingerprints():
+    # C6 and two disjoint triangles: same degrees and meet counts, not isomorphic
+    hexagon = make_family(11, 2, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+    triangles = make_family(11, 2, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+    assert fingerprint(hexagon) == fingerprint(triangles)
+    assert canonical_form(hexagon) != canonical_form(triangles)
 
 
 @settings(max_examples=40)
