@@ -303,16 +303,6 @@ def apply_perm(family: Family, perm: Permutation) -> Family:
     return Family.from_bitmasks(family.n, family.k, (perm.of_bits(b) for b in family.bitmasks))
 
 
-def _map_bits(image: Sequence[int], bits: int) -> int:
-    # image[p] = target bit position for source bit position p
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << image[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def _twin_classes(n: int, colours: Sequence[Sequence[int]]) -> list[int]:
     """Masks of the classes of elements whose transposition fixes every colour.
 
@@ -363,35 +353,6 @@ def _split(cells: list, member: int) -> list:
     return out
 
 
-def _merge_twins(cells: list, twins: list[int]) -> list:
-    """Merge the cells joined by twin classes.
-
-    Once a colour is placed, its members are unions of cells, and cells
-    joined by transpositions fixing every placed colour may be relabelled
-    among their joint positions without changing what is placed.
-    """
-    blocks = [(elements, lows[-1]) for elements, lows in cells]
-    for t in twins:
-        hit = [b for b in blocks if b[0] & t]
-        if len(hit) > 1:
-            blocks = [b for b in blocks if not b[0] & t]
-            blocks.append((sum(e for e, _ in hit), sum(p for _, p in hit)))
-    return [_cell(e, p) for e, p in blocks]
-
-
-def _labelling(n: int, cells: list) -> list[int]:
-    """Element (bit position) sent to each target position, cell by cell."""
-    label = [0] * n
-    for elements, lows in cells:
-        positions = lows[-1]
-        while elements:
-            e, p = elements & -elements, positions & -positions
-            label[p.bit_length() - 1] = e.bit_length() - 1
-            elements ^= e
-            positions ^= p
-    return label
-
-
 def _canonical_masks(n: int, colours: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Least simultaneous relabelling of several member lists ("colours").
 
@@ -403,32 +364,18 @@ def _canonical_masks(n: int, colours: Sequence[Sequence[int]]) -> tuple[tuple[in
     next entry of the answer is the least such image, so only members
     reaching it are branched on, and placing one splits each cell into
     (member & cell, cell - member).  Branches are cut when their prefix
-    exceeds the best found, when tied members are swapped by element
-    transpositions fixing every colour placed so far ("twins"; such cells
-    are merged again when the colour is done), and, as in McKay and
-    Piperno's individualisation-refinement, when an automorphism read off two
-    equal leaves maps a branch onto one already searched.
+    exceeds the best found, and tied members swapped by element
+    transpositions fixing every colour ("twins") are branched on once.
     """
     last = len(colours) - 1
-    twins = [
-        [c for c in _twin_classes(n, colours[: i + 1]) if c & (c - 1)]
-        for i in range(len(colours))
-    ]
+    twins = [c for c in _twin_classes(n, colours) if c & (c - 1)]
     best: list[int] = []  # least image sequence found so far
-    best_path: list[int] = []  # members placed to reach it
-    best_label: list[int] = []  # its leaf labelling
-    autos: list[list[int]] = []  # automorphisms read off equal leaves
-    branch_cells: dict[int, list] = {}  # partition at each branch depth
     prefix: list[int] = []
-    path: list[int] = []
 
-    def stabilises(g: list[int], cells: list) -> bool:
-        return all(_map_bits(g, e) == e for e, _ in cells)
-
-    def representatives(tied: list[int], cells: list, phase: int) -> list[int]:
+    def representatives(tied: list[int], cells: list) -> list[int]:
         # twins sharing a cell may be permuted freely, so a member's orbit
         # is fixed by its count inside each such group and its other bits
-        groups = [g for e, _ in cells for t in twins[phase] if (g := e & t) & (g - 1)]
+        groups = [g for e, _ in cells for t in twins if (g := e & t) & (g - 1)]
         if len(tied) == 1 or not groups:
             return tied
         fixed = ~sum(groups)  # the groups are disjoint
@@ -437,39 +384,17 @@ def _canonical_masks(n: int, colours: Sequence[Sequence[int]]) -> tuple[tuple[in
             reps.setdefault((m & fixed, *((m & g).bit_count() for g in groups)), m)
         return list(reps.values())
 
-    def searched(m: int, done: list[int], cells: list) -> bool:
-        gens = [g for g in autos if stabilises(g, cells)]
-        orbit, frontier = set(done), list(done)
-        while frontier and m not in orbit:
-            x = frontier.pop()
-            for g in gens:
-                y = _map_bits(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return m in orbit
-
-    def descend(cells: list, rest: list[int], phase: int, tight: bool) -> int | None:
-        """Search below one node; tight means the prefix equals the best's.
-        Returns the depth of a branch node to resume at when a leaf repeats
-        the best one by an automorphism fixing that node, else None."""
-        nonlocal best, best_path, best_label
+    def descend(cells: list, rest: list[int], phase: int, tight: bool) -> None:
+        """Search below one node; tight means the prefix equals the best's."""
+        nonlocal best
         base = len(prefix)
         try:
             while True:
                 while not rest:
                     if phase == last:
-                        label = _labelling(n, cells)
                         if not tight:
-                            best, best_path, best_label = prefix[:], path[:], label
-                            return None
-                        gamma = [0] * n
-                        for p in range(n):
-                            gamma[best_label[p]] = label[p]
-                        autos.append(gamma)
-                        j = next(i for i, (a, b) in enumerate(zip(path, best_path)) if a != b)
-                        return j if stabilises(gamma, branch_cells[j]) else None
-                    cells = _merge_twins(cells, twins[phase])
+                            best = prefix[:]
+                        return
                     phase += 1
                     rest = list(colours[phase])
                 images = []
@@ -484,48 +409,33 @@ def _canonical_masks(n: int, colours: Sequence[Sequence[int]]) -> tuple[tuple[in
                     images.append(img)
                 if settled:
                     # fixed images are distinct; placing them in order splits nothing
-                    placed = sorted(zip(images, rest))
-                    prefix.extend(img for img, _ in placed)
-                    path.extend(m for _, m in placed)
+                    prefix.extend(sorted(images))
                     rest = []
                     if tight:
                         head = best[: len(prefix)]
                         if prefix > head:
-                            return None
+                            return
                         tight = prefix == head
                     continue
                 low = min(images)
                 if tight:
                     if low > best[len(prefix)]:
-                        return None
+                        return
                     tight = low == best[len(prefix)]
-                tied = [m for m, img in zip(rest, images) if img == low]
-                tied = representatives(tied, cells, phase)
-                depth = len(prefix)
+                tied = representatives([m for m, img in zip(rest, images) if img == low], cells)
                 prefix.append(low)
                 if len(tied) == 1:
                     m = tied[0]
-                    path.append(m)
                     cells = _split(cells, m)
                     rest = [x for x in rest if x != m]
                     continue
-                branch_cells[depth] = cells
-                done: list[int] = []
                 for m in tied:
-                    if autos and searched(m, done, cells):
-                        continue
-                    path.append(m)
-                    jump = descend(_split(cells, m), [x for x in rest if x != m], phase, tight)
-                    path.pop()
-                    if jump is not None and jump < depth:
-                        return jump
+                    descend(_split(cells, m), [x for x in rest if x != m], phase, tight)
                     # the child reached a leaf, so best now extends this prefix
                     tight = True
-                    done.append(m)
-                return None
+                return
         finally:
             del prefix[base:]
-            del path[base:]
 
     descend([_cell((1 << n) - 1, (1 << n) - 1)], list(colours[0]), 0, False)
     out, i = [], 0

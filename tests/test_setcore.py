@@ -367,7 +367,7 @@ def test_canonical_pair_matches_oracle(pair):
 @settings(max_examples=60, deadline=None)
 @given(symmetric_colours(max_n=7))
 def test_canonical_symmetric_inputs_match_oracle(case):
-    # automorphism pruning only acts when leaves repeat, as they do here
+    # many tied branches here end in equal leaves, so pruning by prefix is tested hard
     n, colours = case
     assert _canonical_masks(n, colours) == brute_canonical(n, colours)
 
