@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 from . import __version__
@@ -49,14 +50,13 @@ from .search import (
     max_omega_intersecting_naive,
     uniqueness_report,
 )
-from .setcore import Family, family_from_dict, family_to_dict, star
+from .setcore import MAX_GROUND, Family, family_from_dict, family_to_dict, star
 from .weights import (
     intersection_profile,
     omega_cross,
     omega_cross_strict,
     omega_family,
-    omega_generic,
-    unit_weight,
+    pair_count,
 )
 
 EXIT_PASS = 0
@@ -184,7 +184,7 @@ def _cmd_omega(args) -> int:
         if args.weight == "meet":
             value = omega_family(fam_a)
         else:
-            value = omega_generic(fam_a, fam_a, unit_weight, strict=True) // 2
+            value = comb(len(fam_a), 2)
     else:
         if args.family_b is None:
             raise _CliUsageError(f"omega {args.mode} needs two family files")
@@ -193,7 +193,7 @@ def _cmd_omega(args) -> int:
         if args.weight == "meet":
             value = omega_cross_strict(fam_a, fam_b) if strict else omega_cross(fam_a, fam_b)
         else:
-            value = omega_generic(fam_a, fam_b, unit_weight, strict=strict)
+            value = pair_count(fam_a, fam_b, strict=strict)
     profile = intersection_profile(fam_a, fam_b) if args.profile else None
 
     lines = [str(value)]
@@ -342,6 +342,10 @@ def _cmd_verify_doublecount(args) -> int:
 def _cmd_verify_identity(args) -> int:
     t0 = time.perf_counter()
     n_max = args.n_max
+    if n_max < 2:
+        raise _CliUsageError(f"--n-max must be at least 2, got {n_max}")
+    if n_max > MAX_GROUND:
+        raise TooLargeError(f"--n-max {n_max} exceeds the ground-set limit {MAX_GROUND}")
     checked = 0
     failures = []
     for n in range(2, n_max + 1):
@@ -527,7 +531,7 @@ def _add_common(sp) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="processes for permutation sweeps (results are identical for any N)",
+        help="processes for permutation sweeps, at most the CPU count (same results for any N)",
     )
 
 
@@ -579,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     vd.set_defaults(func=_cmd_verify_doublecount)
 
     vi = vsub.add_parser("identity", help="star profile total vs closed form")
-    vi.add_argument("--n-max", type=int, default=20, dest="n_max")
+    vi.add_argument("--n-max", type=int, default=20, dest="n_max", help=f"2..{MAX_GROUND}")
     _add_common(vi)
     vi.set_defaults(func=_cmd_verify_identity)
 
@@ -623,6 +627,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

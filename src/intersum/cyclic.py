@@ -15,6 +15,7 @@ pairs, is the engine behind double_count_check.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -357,6 +358,8 @@ def katona_verify(
     perms_checked = 1
     if all_perms:
         total = factorial(n - 1)
+        # More processes than CPUs only add start-up cost; results never depend on it.
+        workers = min(workers, os.cpu_count() or 1)
         if workers > 1:
             step = max(1, total // (workers * 4))
             chunks = [(n, k, lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -517,6 +520,7 @@ def double_count_check(
     ]
     check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
     total = factorial(n - 1)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and pairs:
         step = max(1, total // (workers * 4))
         chunk_args = [

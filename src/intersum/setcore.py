@@ -1,8 +1,8 @@
 """k-subsets of {1..n} as bitmasks, families of them, and relabellings.
 
 Element e of the ground set corresponds to bit e-1, so intersection sizes
-are single popcounts.  Ground sets are capped at 63 elements to keep every
-mask inside one machine word on the numpy fast paths.
+are single popcounts.  Ground sets are capped at 63 elements, so every mask
+fits one machine word.
 """
 from __future__ import annotations
 

@@ -1,29 +1,21 @@
 """Total intersection-size functionals over families.
 
 omega_family sums |A ∩ B| over unordered pairs of distinct members;
-omega_cross sums over ordered pairs from two families.  Results are exact
-integers.  Large inputs are routed through numpy popcount kernels, but only
-when an a-priori bound shows the int64 accumulator cannot overflow; the
-plain-Python loops remain the reference path and handle everything else.
+omega_cross sums over ordered pairs from two families.  Both count by element
+degrees, as the closed forms do: Σ_{A<B} |A ∩ B| = Σ_x C(d(x), 2) and
+Σ_{A,B} |A ∩ B| = Σ_x d_A(x) d_B(x), which costs O(|F| k) instead of
+O(|F|^2).  intersection_profile buckets the ordered pairs by meet size with
+bitsets over members.  Results are exact integers at any size; omega_generic
+keeps the plain pair loop for arbitrary weights and as the reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
-import numpy as np
-
-from .setcore import Family, KSet, _require_same_ground
+from .setcore import Family, KSet, _require_same_ground, element_degrees
 
 PairWeight = Callable[[KSet, KSet], int]
-
-# Below this many pairs the plain loops win; above it numpy does.
-_NUMPY_MIN_PAIRS = 1 << 14
-# Row chunk size keeps the meet matrix around 16 MB.
-_CHUNK_CELLS = 1 << 21
-
-_HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 
 def meet_weight(a: KSet, b: KSet) -> int:
@@ -49,84 +41,69 @@ class Profile:
         return sum(m * c for m, c in enumerate(self.counts))
 
 
-def _numpy_ok(count_a: int, count_b: int, max_meet: int) -> bool:
-    # Exactness guard: the whole sum must fit an int64 accumulator.
-    return (
-        _HAVE_BITWISE_COUNT
-        and count_a * count_b >= _NUMPY_MIN_PAIRS
-        and count_a * count_b * max(max_meet, 1) < (1 << 62)
-    )
-
-
-def _meet_counts(xs: np.ndarray, ys: np.ndarray) -> "np.ndarray":
-    # uint8 matrix of popcounts of pairwise ANDs, chunked over rows of xs.
-    return np.bitwise_count(xs[:, None] & ys[None, :])
-
-
-def _chunks(total: int, per: int):
-    step = max(1, per)
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
-
-
 def omega_family(family: Family) -> int:
     """Sum of |A ∩ B| over unordered pairs of distinct members."""
-    masks = family.bitmasks
-    m = len(masks)
-    if _numpy_ok(m, m, family.k):
-        xs = np.asarray(masks, dtype=np.uint64)
-        total = 0
-        rows = max(1, _CHUNK_CELLS // m)
-        for lo, hi in _chunks(m, rows):
-            total += int(_meet_counts(xs[lo:hi], xs).sum(dtype=np.int64))
-        # The full matrix counts ordered pairs plus the diagonal.
-        diag = sum(b.bit_count() for b in masks)
-        return (total - diag) // 2
-    return sum((a & b).bit_count() for a, b in combinations(masks, 2))
+    return sum(d * (d - 1) // 2 for d in element_degrees(family))
 
 
 def omega_cross(fam_a: Family, fam_b: Family) -> int:
     """Sum of |A ∩ B| over ordered pairs (A from fam_a, B from fam_b)."""
     _require_same_ground(fam_a, fam_b)
-    ma, mb = fam_a.bitmasks, fam_b.bitmasks
-    if _numpy_ok(len(ma), len(mb), min(fam_a.k, fam_b.k)):
-        xs = np.asarray(ma, dtype=np.uint64)
-        ys = np.asarray(mb, dtype=np.uint64)
-        total = 0
-        rows = max(1, _CHUNK_CELLS // max(len(mb), 1))
-        for lo, hi in _chunks(len(ma), rows):
-            total += int(_meet_counts(xs[lo:hi], ys).sum(dtype=np.int64))
-        return total
-    return sum((a & b).bit_count() for a in ma for b in mb)
+    return sum(x * y for x, y in zip(element_degrees(fam_a), element_degrees(fam_b)))
 
 
 def omega_cross_strict(fam_a: Family, fam_b: Family) -> int:
     """omega_cross restricted to pairs with A != B as sets."""
-    _require_same_ground(fam_a, fam_b)
     # Families are duplicate-free, so each common set contributes exactly one
     # ordered pair (S, S) with |S ∩ S| = |S|.
     common = set(fam_a.bitmasks) & set(fam_b.bitmasks)
     return omega_cross(fam_a, fam_b) - sum(b.bit_count() for b in common)
 
 
-def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
-    """Histogram of |A ∩ B| over ordered pairs; indices 0..min(k_a, k_b)."""
+def pair_count(fam_a: Family, fam_b: Family, strict: bool = False) -> int:
+    """Number of ordered pairs (A, B), without A = B when strict: omega_generic
+    with unit_weight, in closed form."""
     _require_same_ground(fam_a, fam_b)
-    size = min(fam_a.k, fam_b.k) + 1
-    ma, mb = fam_a.bitmasks, fam_b.bitmasks
-    if _numpy_ok(len(ma), len(mb), 1):
-        xs = np.asarray(ma, dtype=np.uint64)
-        ys = np.asarray(mb, dtype=np.uint64)
-        counts = np.zeros(size, dtype=np.int64)
-        rows = max(1, _CHUNK_CELLS // max(len(mb), 1))
-        for lo, hi in _chunks(len(ma), rows):
-            counts += np.bincount(_meet_counts(xs[lo:hi], ys).ravel(), minlength=size)
-        return Profile(tuple(int(c) for c in counts))
-    counts_list = [0] * size
-    for a in ma:
-        for b in mb:
-            counts_list[(a & b).bit_count()] += 1
-    return Profile(tuple(counts_list))
+    pairs = len(fam_a) * len(fam_b)
+    if strict:
+        pairs -= len(set(fam_a.bitmasks) & set(fam_b.bitmasks))
+    return pairs
+
+
+def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
+    """Histogram of |A ∩ B| over ordered pairs; indices 0..min(k_a, k_b).
+
+    The histogram is symmetric in its arguments, so the larger family becomes
+    bit positions: col[x] marks its members containing x.  For each member y
+    of the other family, lev[j] marks the members that meet y in exactly j of
+    the elements of y seen so far.
+    """
+    _require_same_ground(fam_a, fam_b)
+    top = min(fam_a.k, fam_b.k)
+    big, small = sorted((fam_a.bitmasks, fam_b.bitmasks), key=len, reverse=True)
+    full = (1 << len(big)) - 1
+    col = [0] * fam_a.n
+    for i, bits in enumerate(big):
+        while bits:
+            low = bits & -bits
+            col[low.bit_length() - 1] |= 1 << i
+            bits ^= low
+    counts = [0] * (top + 1)
+    for bits in small:
+        lev = [full] + [0] * top
+        seen = 0
+        while bits:
+            low = bits & -bits
+            c = col[low.bit_length() - 1]
+            out = full ^ c
+            seen = min(seen + 1, top)
+            for j in range(seen, 0, -1):
+                lev[j] = (lev[j] & out) | (lev[j - 1] & c)
+            lev[0] &= out
+            bits ^= low
+        for j, members in enumerate(lev):
+            counts[j] += members.bit_count()
+    return Profile(tuple(counts))
 
 
 def omega_generic(

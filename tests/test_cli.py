@@ -1,12 +1,22 @@
 """Command-line surface: exit codes, text and JSON output, replay determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intersum.cli import EXIT_FAIL, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, report_schema
-from intersum.setcore import full_family, make_family, star
+import intersum
+from intersum.cli import EXIT_FAIL, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main, report_schema
+from intersum.setcore import family_to_dict, full_family, make_family, star
+from intersum.weights import omega_generic, unit_weight
 
 
 def validated(payload_text):
@@ -94,6 +104,46 @@ def test_omega_unit_weight(run_cli, family_file):
     assert (code, out) == (EXIT_PASS, "15\n")  # C(6,2) unordered pairs
 
 
+@st.composite
+def unit_inputs(draw):
+    n = draw(st.integers(2, 7))
+
+    def one():
+        k = draw(st.integers(1, min(n, 3)))
+        universe = list(combinations(range(1, n + 1), k))
+        return make_family(n, k, draw(st.lists(st.sampled_from(universe), unique=True)))
+
+    fa = one()
+    return fa, fa if draw(st.booleans()) else one()
+
+
+@settings(max_examples=40)
+@given(unit_inputs())
+def test_omega_unit_weight_matches_pair_loop(pair):
+    fa, fb = pair
+    expect = {
+        "family": omega_generic(fa, fa, unit_weight, strict=True) // 2,
+        "cross": omega_generic(fa, fb, unit_weight),
+        "strict": omega_generic(fa, fb, unit_weight, strict=True),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, fam in (("a.json", fa), ("b.json", fb)):
+            path = Path(tmp) / name
+            path.write_text(json.dumps(family_to_dict(fam)))
+            paths.append(str(path))
+        out = str(Path(tmp) / "out.txt")
+        for mode, value in expect.items():
+            files = paths[:1] if mode == "family" else paths
+            assert main(["omega", mode, *files, "--weight", "unit", "--out", out]) == EXIT_PASS
+            assert Path(out).read_text() == f"{value}\n"
+
+
+def test_omega_unit_weight_ground_mismatch(run_cli, family_file):
+    a, b = family_file(star(5, 2, 1)), family_file(star(6, 2, 1))
+    assert run_cli("omega", "cross", a, b, "--weight", "unit")[0] == EXIT_USAGE
+
+
 def test_omega_missing_file(run_cli, tmp_path):
     path = str(tmp_path / "nope.json")
     code, _, err = run_cli("omega", "family", path)
@@ -172,6 +222,40 @@ def test_verify_identity(run_cli):
     code, out, _ = run_cli("verify", "identity", "--n-max", 8)
     assert code == EXIT_PASS
     assert out.startswith("PASS")
+
+
+def test_verify_identity_n_max_limits(run_cli):
+    for bad in (1, 0, -5):
+        code, out, err = run_cli("verify", "identity", "--n-max", bad)
+        assert code == EXIT_USAGE and out == ""
+        assert "--n-max" in err
+    code, out, err = run_cli("verify", "identity", "--n-max", 64)
+    assert code == EXIT_RESOURCE and out == ""
+    assert "63" in err
+    code, out, _ = run_cli("verify", "identity", "--n-max", 63, "--json")
+    assert code == EXIT_PASS
+    assert validated(out)["result"]["ok"] is True
+
+
+def test_workers_below_one_is_usage_error(run_cli):
+    commands = [
+        ("verify", "katona", 6, 2),
+        ("verify", "doublecount", 5, 2, 2),
+        ("bound", "family", 5, 2),
+    ]
+    for argv in commands:
+        for bad in ("0", "-1", "two"):
+            code, out, _ = run_cli(*argv, "--workers", bad)
+            assert (code, out) == (EXIT_USAGE, "")
+
+
+def test_package_imports_without_numpy():
+    # numpy is not a dependency; an import of it anywhere must fail this test
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = 'import sys; sys.modules["numpy"] = None; import intersum, intersum.cli'
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_extremal_strict(run_cli):

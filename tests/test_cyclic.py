@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intersum import cyclic
 from intersum.bounds import pm_star_count
 from intersum.cyclic import (
     CyclicPerm,
@@ -207,6 +208,35 @@ def test_double_count_workers_agree():
     r1 = double_count_check(a, b, 2, workers=1)
     r2 = double_count_check(a, b, 2, workers=2)
     assert (r1.lhs_total, r1.rhs_total, r1.ok) == (r2.lhs_total, r2.rhs_total, r2.ok)
+
+
+@pytest.mark.parametrize("cpus,pool_sizes", [(3, [3]), (1, []), (None, [])])
+def test_worker_pool_clamped_to_cpu_count(monkeypatch, cpus, pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cyclic, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cyclic.os, "cpu_count", lambda: cpus)
+    r = katona_verify(6, 2, all_perms=True, workers=10**9)
+    assert r == katona_verify(6, 2, all_perms=True)
+    a, b = star(6, 3, 1), star(6, 2, 1)
+    d = double_count_check(a, b, 2, workers=10**9)
+    assert d == double_count_check(a, b, 2)
+    assert sizes == pool_sizes * 2
 
 
 def test_double_count_guards():

@@ -1,9 +1,9 @@
-"""Pair-sum evaluation: triangle sums, cross sums, profiles, numpy/pure agreement."""
+"""Pair-sum evaluation: triangle sums, cross sums, profiles, and their pair-loop oracles."""
 
 import math
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
@@ -16,6 +16,7 @@ from intersum.weights import (
     omega_cross_strict,
     omega_family,
     omega_generic,
+    pair_count,
     unit_weight,
 )
 
@@ -127,12 +128,64 @@ def test_profile_sums(fam):
     assert len(prof.counts) == fam.k + 1
 
 
-def test_numpy_and_pure_paths_agree():
-    # large enough to clear the vectorization threshold, checked against pure loops
+def pair_histogram(fam_a, fam_b):
+    """Oracle: the meet-size histogram by the plain ordered-pair loop."""
+    counts = [0] * (min(fam_a.k, fam_b.k) + 1)
+    for a in fam_a.bitmasks:
+        for b in fam_b.bitmasks:
+            counts[(a & b).bit_count()] += 1
+    return tuple(counts)
+
+
+@st.composite
+def profile_pair(draw, max_n=10):
+    # independent k, independent (possibly zero) member counts
+    n = draw(st.integers(2, max_n))
+
+    def one():
+        k = draw(st.integers(1, min(n, 6)))
+        universe = list(combinations(range(1, n + 1), k))
+        members = draw(
+            st.lists(st.sampled_from(universe), max_size=min(40, len(universe)), unique=True)
+        )
+        return make_family(n, k, members)
+
+    return one(), one()
+
+
+@settings(max_examples=150)
+@given(profile_pair())
+@example((make_family(5, 3, []), star(5, 2, 1)))
+@example((star(5, 2, 1), make_family(5, 3, [])))
+def test_intersection_profile_matches_pair_loop(pair):
+    fa, fb = pair
+    prof = intersection_profile(fa, fb)
+    assert prof.counts == pair_histogram(fa, fb)
+    assert intersection_profile(fb, fa) == prof
+    assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
+
+
+@settings(max_examples=150)
+@given(profile_pair())
+@example((make_family(5, 3, []), star(5, 2, 1)))
+def test_degree_sums_match_pair_loop(pair):
+    fa, fb = pair
+    assert omega_family(fa) == sum((a & b).bit_count() for a, b in combinations(fa.bitmasks, 2))
+    assert omega_cross(fa, fb) == omega_generic(fa, fb, meet_weight)
+    assert omega_cross_strict(fa, fb) == omega_generic(fa, fb, meet_weight, strict=True)
+    assert omega_cross_strict(fa, fa) == omega_generic(fa, fa, meet_weight, strict=True)
+    assert pair_count(fa, fb) == omega_generic(fa, fb, unit_weight)
+    assert pair_count(fa, fb, strict=True) == omega_generic(fa, fb, unit_weight, strict=True)
+    assert pair_count(fa, fa, strict=True) == omega_generic(fa, fa, unit_weight, strict=True)
+
+
+def test_large_family_matches_pair_loops():
+    # every member count takes the same single path; check one well past 10^4 pairs
     f = full_family(11, 3)
-    assert len(f.members) ** 2 >= 1 << 14
     expect = omega_generic(f, f, meet_weight)
     assert omega_cross(f, f) == expect
+    assert omega_family(f) == (expect - 3 * len(f)) // 2
     prof = intersection_profile(f, f)
+    assert prof.counts == pair_histogram(f, f)
     assert prof.weighted_sum == expect
     assert prof.total_pairs == len(f.members) ** 2
