@@ -9,7 +9,9 @@ cross the JSON boundary as decimal strings; small structural integers
 (n, k, l, m, counts of witnesses, runtimes) stay native.
 
 Exit codes: 0 all checks pass, 1 mathematical failure (a counterexample),
-2 usage or hypothesis error, 3 resource cutoff.
+2 usage or hypothesis error, 3 resource cutoff (including the annealer's
+step cap, search.MAX_ANNEAL_STEPS), 4 internal error (the program's own
+bookkeeping disagreed with a recount; a bug, never a finding).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from .errors import (
     DuplicateSetError,
     GroundMismatchError,
     HypothesisError,
+    InternalError,
     NotExhaustiveError,
     TooLargeError,
 )
@@ -63,6 +66,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 _USAGE_ERRORS = (
     BadElementError,
@@ -647,6 +651,9 @@ def main(argv: list[str] | None = None) -> int:
         if exc.witness is not None:
             print(f"witness: {exc.witness!r}", file=sys.stderr)
         return EXIT_FAIL
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

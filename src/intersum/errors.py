@@ -50,6 +50,14 @@ class NotExhaustiveError(IntersumError):
     """An operation that promises exhaustiveness was asked to skip it."""
 
 
+class InternalError(IntersumError):
+    """The program's own bookkeeping disagrees with an independent recount.
+
+    A bug, not a mathematical finding: the CLI maps it to its own exit code
+    so it is never mistaken for a counterexample.
+    """
+
+
 class CounterexampleError(IntersumError):
     """A search produced a value exceeding a proved bound.
 

@@ -20,6 +20,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
 from .cyclic import MAX_SWEEP_GROUND, enumerate_cyclic, intervals_of_length
@@ -27,6 +28,7 @@ from .errors import (
     BadSizeError,
     CounterexampleError,
     HypothesisError,
+    InternalError,
     NotExhaustiveError,
     TooLargeError,
 )
@@ -50,6 +52,8 @@ NAIVE_BUDGET = 16
 _SA_UNIVERSE_CAP = 100_000
 _SA_ADJ_CAP = 4096
 _SA_CROSS_B_CAP = 2048
+# Cap on iterations * restarts (the default is 16 000 steps).
+MAX_ANNEAL_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -420,8 +424,73 @@ def _random_set_bit(rng: random.Random, mask: int) -> int:
     return _nth_set_bit(mask, rng.randrange(mask.bit_count()))
 
 
+def _element_bitsets(n: int, elems: list[tuple[int, ...]]) -> list[int]:
+    """For each element x, the bitset of universe indices whose set holds x."""
+    out = [0] * n
+    for i, xs in enumerate(elems):
+        bit = 1 << i
+        for x in xs:
+            out[x] |= bit
+    return out
+
+
+class _MissCounts:
+    """For every index j of a universe, how many members of the current
+    family fail to be compatible with j, bit-sliced: bit j of planes[b] is
+    bit b of that count.  Adding or removing a member's miss set costs
+    O(log |family|) big-int operations, so the compatible sets (count 0)
+    follow every move without a pass over the members."""
+
+    def __init__(self, full: int):
+        self.full = full
+        self.planes: list[int] = []
+
+    def add(self, mask: int) -> None:
+        planes = self.planes
+        for b, p in enumerate(planes):
+            planes[b] = p ^ mask
+            mask &= p
+            if not mask:
+                return
+        if mask:
+            planes.append(mask)
+
+    def remove(self, mask: int) -> None:
+        planes = self.planes
+        for b, p in enumerate(planes):
+            planes[b] = p ^ mask
+            mask &= ~p
+            if not mask:
+                return
+
+    def zero(self) -> int:
+        """Indices every member is compatible with."""
+        high = 0
+        for p in self.planes:
+            high |= p
+        return self.full & ~high
+
+    def zero_without(self, mask: int) -> int:
+        """Indices every member is compatible with once a member whose miss
+        set is mask leaves: count 0, or count 1 and in mask."""
+        if not self.planes:
+            return self.full
+        high = 0
+        for p in self.planes[1:]:
+            high |= p
+        return self.full & ~high & ~(self.planes[0] & ~mask)
+
+
 def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int, ...]]:
-    """Best (value, member bitmasks) found by annealing intersecting families."""
+    """Best (value, member bitmasks) found by annealing intersecting families.
+
+    The total is tracked through the element degrees of the current family:
+    a set v joining it meets the members in sum(deg[x] for x in v) elements
+    in all, so a move's gain costs O(k) instead of a pass over the members.
+    Up to _SA_ADJ_CAP sets, the compatible sets are kept as a bitset through
+    _MissCounts; above it, proposals are sampled and checked against held[x],
+    the bitset of member indices that contain x.
+    """
     count = math.comb(n, k)
     if count > _SA_UNIVERSE_CAP:
         raise TooLargeError(
@@ -429,31 +498,22 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
             f" exceeds {_SA_UNIVERSE_CAP}"
         )
     universe = ksubset_masks(n, k)
+    elems = [tuple(_bits_list(m)) for m in universe]
     big_n = len(universe)
     full = (1 << big_n) - 1
     use_adj = count <= _SA_ADJ_CAP
     adj: list[int] = []
     if use_adj:
-        adj = [0] * big_n
-        for i in range(big_n):
-            mi = universe[i]
-            for j in range(i + 1, big_n):
-                if mi & universe[j]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        by_elem = _element_bitsets(n, elems)
+        for i, xs in enumerate(elems):
+            row = 0
+            for x in xs:
+                row |= by_elem[x]
+            adj.append(row & ~(1 << i))
 
     rng = random.Random(cfg.seed)
     best_val = -1
     best_members: tuple[int, ...] = ()
-
-    def w(i: int, j: int) -> int:
-        return (universe[i] & universe[j]).bit_count()
-
-    def compat_of(members: list[int]) -> int:
-        c = full
-        for u in members:
-            c &= adj[u]
-        return c
 
     def consider(val: int, members: list[int]) -> None:
         nonlocal best_val, best_members
@@ -463,15 +523,41 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
 
     def closure_value(members: list[int], cmask: int, val: int) -> tuple[int, list[int]]:
         ms = list(members)
+        d = list(deg)
         while cmask:
             v = (cmask & -cmask).bit_length() - 1
-            val += sum(w(v, u) for u in ms)
+            for x in elems[v]:
+                val += d[x]
+                d[x] += 1
             ms.append(v)
             cmask &= adj[v]
         return val, ms
 
+    def enter(v: int) -> None:
+        for x in elems[v]:
+            deg[x] += 1
+        if use_adj:
+            misses.add(full ^ adj[v])
+        else:
+            bit = 1 << v
+            for x in elems[v]:
+                held[x] |= bit
+
+    def leave(u: int) -> None:
+        for x in elems[u]:
+            deg[x] -= 1
+        if use_adj:
+            misses.remove(full ^ adj[u])
+        else:
+            bit = 1 << u
+            for x in elems[u]:
+                held[x] ^= bit
+
     for _ in range(cfg.restarts):
         members: list[int] = []
+        deg = [0] * n
+        misses = _MissCounts(full)
+        held = [0] * n
         cmask = full if use_adj else 0
         val = 0
         temp = cfg.initial_temperature
@@ -479,6 +565,7 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
             if not members:
                 v = rng.randrange(big_n)
                 members.append(v)
+                enter(v)
                 if use_adj:
                     cmask = adj[v]
                 consider(0, members)
@@ -492,47 +579,55 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
                         temp *= cfg.decay
                         continue
                     v = _random_set_bit(rng, cmask)
+                    cmask &= adj[v]
                 else:
-                    v = _sample_compatible(rng, universe, members)
+                    v = _sample_compatible(rng, elems, held, len(members))
                     if v is None:
                         temp *= cfg.decay
                         continue
-                val += sum(w(v, u) for u in members)
+                val += sum(deg[x] for x in elems[v])
                 members.append(v)
-                if use_adj:
-                    cmask &= adj[v]
+                enter(v)
             elif move < 0.60:
-                # drop a member
+                # drop a member; its own k elements are not meets
                 ui = rng.randrange(len(members))
                 u = members[ui]
-                delta = -sum(w(u, x) for x in members if x != u)
+                delta = k - sum(deg[x] for x in elems[u])
                 if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
                     members.pop(ui)
+                    leave(u)
                     val += delta
                     if use_adj:
-                        cmask = compat_of(members)
+                        cmask = misses.zero()
             else:
                 # swap one member for a set compatible with the rest
                 ui = rng.randrange(len(members))
                 u = members[ui]
-                rest = members[:ui] + members[ui + 1 :]
                 if use_adj:
-                    cwo = compat_of(rest) & ~(1 << u)
+                    cwo = misses.zero_without(full ^ adj[u]) & ~(1 << u)
                     if cwo == 0:
                         temp *= cfg.decay
                         continue
                     v = _random_set_bit(rng, cwo)
                 else:
-                    v = _sample_compatible(rng, universe, rest, forbid=u)
+                    v = _sample_compatible(rng, elems, held, len(members) - 1, forbid=u)
                     if v is None:
                         temp *= cfg.decay
                         continue
-                delta = sum(w(v, x) for x in rest) - sum(w(u, x) for x in rest)
+                # deg still counts u, which meets v in |u & v| and itself in k
+                delta = (
+                    sum(deg[x] for x in elems[v])
+                    - (universe[u] & universe[v]).bit_count()
+                    - sum(deg[x] for x in elems[u])
+                    + k
+                )
                 if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
                     members[ui] = v
+                    leave(u)
+                    enter(v)
                     val += delta
                     if use_adj:
-                        cmask = compat_of(members)
+                        cmask = misses.zero()
             consider(val, members)
             if use_adj and it % 64 == 63:
                 cval, cms = closure_value(members, cmask, val)
@@ -544,15 +639,20 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     return best_val, best_members
 
 
-def _sample_compatible(rng, universe, members, forbid=None, tries=32):
-    """Random universe index meeting every member, by rejection sampling."""
-    mset = set(members)
+def _sample_compatible(rng, elems, held, size, forbid=-1, tries=32):
+    """Random universe index outside the family that meets its `size`
+    members other than forbid, by rejection sampling.  held[x] is the bitset
+    of member indices containing x, so a candidate costs O(k) to check."""
+    keep = ~(1 << forbid) if forbid >= 0 else -1
     for _ in range(tries):
-        i = rng.randrange(len(universe))
-        if i in mset or i == forbid:
+        i = rng.randrange(len(elems))
+        xs = elems[i]
+        if held[xs[0]] >> i & 1:
             continue
-        m = universe[i]
-        if all(m & universe[u] for u in members):
+        meets = 0
+        for x in xs:
+            meets |= held[x]
+        if (meets & keep).bit_count() == size:
             return i
     return None
 
@@ -561,7 +661,13 @@ def _anneal_cross(
     n: int, k: int, l: int, cfg: HeuristicConfig
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Best (value, A masks, B masks) for cross pairs; B is always the full
-    compatible family for the current A."""
+    compatible family for the current A.
+
+    A pair's total is sum over x of d_A(x) * d_B(x).  d_A is kept as moves
+    are accepted; d_B(x) is the popcount of B's index bitset against the
+    bitset of l-sets holding x, and B itself follows A through _MissCounts,
+    so a move costs O(n + log |A|) big-int operations.
+    """
     ca, cb = math.comb(n, k), math.comb(n, l)
     if ca > _SA_UNIVERSE_CAP or cb > _SA_CROSS_B_CAP:
         raise TooLargeError(
@@ -570,23 +676,19 @@ def _anneal_cross(
         )
     ua = ksubset_masks(n, k)
     ub = ksubset_masks(n, l)
-    na, nb = len(ua), len(ub)
-    full_b = (1 << nb) - 1
+    elems_a = [tuple(_bits_list(m)) for m in ua]
+    b_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in ub])
+    na = len(ua)
+    full_b = (1 << len(ub)) - 1
 
-    def compat_of(a_mask: int) -> int:
+    def compat_of(i: int) -> int:
         c = 0
-        for j in range(nb):
-            if a_mask & ub[j]:
-                c |= 1 << j
+        for x in elems_a[i]:
+            c |= b_by_elem[x]
         return c
 
-    def pair_val(a_members: list[int], bmask: int) -> int:
-        total = 0
-        bs = _bits_list(bmask)
-        for i in a_members:
-            m = ua[i]
-            total += sum((m & ub[j]).bit_count() for j in bs)
-        return total
+    def b_degrees(bmask: int) -> list[int]:
+        return [(bmask & e).bit_count() for e in b_by_elem]
 
     rng = random.Random(cfg.seed)
     best_val = -1
@@ -602,6 +704,8 @@ def _anneal_cross(
 
     for _ in range(cfg.restarts):
         a_members: list[int] = []
+        d_a = [0] * n
+        misses = _MissCounts(full_b)
         bmask = full_b
         val = 0
         temp = cfg.initial_temperature
@@ -612,25 +716,34 @@ def _anneal_cross(
                 if i in a_members:
                     temp *= cfg.decay
                     continue
-                nbm = bmask & compat_of(ua[i])
+                ci = compat_of(i)
+                nbm = bmask & ci
                 if nbm == 0:
                     temp *= cfg.decay
                     continue
-                trial = a_members + [i]
-                nval = pair_val(trial, nbm)
+                d_b = b_degrees(nbm)
+                nval = sum(map(mul, d_a, d_b)) + sum(d_b[x] for x in elems_a[i])
                 delta = nval - val
                 if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
-                    a_members, bmask, val = trial, nbm, nval
+                    a_members.append(i)
+                    for x in elems_a[i]:
+                        d_a[x] += 1
+                    misses.add(full_b ^ ci)
+                    bmask, val = nbm, nval
             else:
                 ui = rng.randrange(len(a_members))
-                trial = a_members[:ui] + a_members[ui + 1 :]
-                nbm = full_b
-                for i in trial:
-                    nbm &= compat_of(ua[i])
-                nval = pair_val(trial, nbm) if trial else 0
+                u = a_members[ui]
+                miss_u = full_b ^ compat_of(u)
+                nbm = misses.zero_without(miss_u)
+                d_b = b_degrees(nbm)
+                nval = sum(map(mul, d_a, d_b)) - sum(d_b[x] for x in elems_a[u])
                 delta = nval - val
                 if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
-                    a_members, bmask, val = trial, nbm, nval
+                    a_members.pop(ui)
+                    for x in elems_a[u]:
+                        d_a[x] -= 1
+                    misses.remove(miss_u)
+                    bmask, val = nbm, nval
             consider(val, a_members, bmask)
             temp *= cfg.decay
     return best_val, best_a, best_b
@@ -642,25 +755,27 @@ def heuristic_max(
     """Seeded annealing lower bound on the relevant maximum.
 
     Returns the best family (or pair) found; raises CounterexampleError if
-    that ever exceeds a proved bound.  Witnesses are reported as found, not
-    canonicalized: the annealer's seeded result is the report.
+    that ever exceeds a proved bound, and InternalError if the tracked total
+    differs from a recount of the witness.  Witnesses are reported as found,
+    not canonicalized: the annealer's seeded result is the report.
     """
     t0 = time.perf_counter()
     cfg = config or HeuristicConfig()
     _check_params(n, k)
     if cfg.iterations < 1 or cfg.restarts < 1:
         raise BadSizeError("heuristic needs at least one restart and one iteration")
-    if not 0.0 < cfg.decay <= 1.0 or cfg.initial_temperature < 0.0:
-        raise BadSizeError("decay must be in (0, 1] and temperature nonnegative")
+    if not 0.0 < cfg.decay <= 1.0 or not 0.0 <= cfg.initial_temperature < math.inf:
+        raise BadSizeError("decay must be in (0, 1] and temperature finite and nonnegative")
+    steps = cfg.iterations * cfg.restarts
+    if steps > MAX_ANNEAL_STEPS:
+        raise TooLargeError(
+            f"iterations x restarts = {steps} exceeds the step cap {MAX_ANNEAL_STEPS}"
+        )
     if l is None:
         bound = omega_intersecting_bound(n, k).value if n >= 2 * k else None
         best, members = _anneal_family(n, k, cfg)
         fam = Family.from_bitmasks(n, k, members)
         check = omega_family(fam)
-        if check != best:
-            raise AssertionError(
-                f"annealer bookkeeping drifted: tracked {best}, actual {check}"
-            )
         witnesses: tuple = (fam,)
         cfg_tuple: tuple[int, ...] = (n, k)
     else:
@@ -672,12 +787,10 @@ def heuristic_max(
         fa = Family.from_bitmasks(n, k, a_masks)
         fb = Family.from_bitmasks(n, l, b_masks)
         check = omega_cross(fa, fb)
-        if check != best:
-            raise AssertionError(
-                f"annealer bookkeeping drifted: tracked {best}, actual {check}"
-            )
         witnesses = ((fa, fb),)
         cfg_tuple = (n, k, l)
+    if check != best:
+        raise InternalError(f"annealer bookkeeping drifted: tracked {best}, actual {check}")
     if bound is not None and best > bound:
         raise CounterexampleError(
             f"heuristic found {best} above the proved bound {bound} at {cfg_tuple}",

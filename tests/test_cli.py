@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intersum
-from intersum.cli import EXIT_FAIL, EXIT_PASS, EXIT_RESOURCE, EXIT_USAGE, main, report_schema
+from intersum import search
+from intersum.cli import (
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_PASS,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    main,
+    report_schema,
+)
 from intersum.setcore import family_to_dict, full_family, make_family, star
 from intersum.weights import omega_generic, unit_weight
 
@@ -314,6 +323,29 @@ def test_search_heuristic(run_cli):
 def test_search_heuristic_bad_config(run_cli):
     assert run_cli("search-heuristic", 5, 2, "--iterations", 0)[0] == EXIT_USAGE
     assert run_cli("search-heuristic", 5, 2, "--decay", 2.0)[0] == EXIT_USAGE
+    for bad in ("nan", "inf"):
+        for flag in ("--temperature", "--decay"):
+            code, out, _ = run_cli("search-heuristic", 6, 2, flag, bad, "--json")
+            assert (code, out) == (EXIT_USAGE, "")
+
+
+def test_search_heuristic_step_cap(run_cli):
+    over = search.MAX_ANNEAL_STEPS + 1
+    for config in ((10, 3), (10, 3, 3)):
+        args = ("search-heuristic", *config, "--iterations", over, "--restarts", 1)
+        code, out, err = run_cli(*args)
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "step cap" in err
+
+
+def test_search_heuristic_drift_exits_internal(run_cli, monkeypatch):
+    def drifted(n, k, cfg):
+        return 7, star(n, k, 1).bitmasks
+
+    monkeypatch.setattr(search, "_anneal_family", drifted)
+    code, out, err = run_cli("search-heuristic", 5, 2, "--json")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "drifted" in err and "Traceback" not in err
 
 
 # --- envelope plumbing ---
@@ -350,4 +382,4 @@ def test_usage_errors(run_cli):
 
 
 def test_exit_code_constants():
-    assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE) == (0, 1, 2, 3)
+    assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE, EXIT_INTERNAL) == (0, 1, 2, 3, 4)

@@ -1,16 +1,23 @@
 """Exact search (branch-and-bound, naive oracle), heuristic annealing, uniqueness reports."""
 
+import hashlib
+import json
+import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
 from intersum.errors import (
     BadSizeError,
     HypothesisError,
+    InternalError,
     NotExhaustiveError,
     TooLargeError,
 )
+from intersum import search
 from intersum.search import (
     HeuristicConfig,
     SearchResult,
@@ -240,3 +247,92 @@ def test_heuristic_config_validation():
         heuristic_max(5, 2, config=HeuristicConfig(decay=1.5))
     with pytest.raises(BadSizeError):
         heuristic_max(5, 2, config=HeuristicConfig(initial_temperature=-1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadSizeError):
+            heuristic_max(5, 2, config=HeuristicConfig(initial_temperature=bad))
+        with pytest.raises(BadSizeError):
+            heuristic_max(5, 2, config=HeuristicConfig(decay=bad))
+
+
+def test_heuristic_step_cap():
+    over = HeuristicConfig(iterations=search.MAX_ANNEAL_STEPS // 4 + 1, restarts=4)
+    for l in (None, 3):
+        with pytest.raises(TooLargeError, match="step cap"):
+            heuristic_max(10, 3, l, config=over)
+
+
+def test_heuristic_drift_is_internal_error(monkeypatch):
+    monkeypatch.setattr(search, "_anneal_family", lambda n, k, cfg: (7, star(n, k, 1).bitmasks))
+    with pytest.raises(InternalError, match="drifted"):
+        heuristic_max(5, 2)
+
+
+# Seeded results pinned from the pair-summing annealer: best value and a digest
+# of the reported witnesses.  Any change to the annealer's random draws or to
+# its integer bookkeeping shows up here.  (12,4) walks the adjacency bitsets,
+# (15,6) is above _SA_ADJ_CAP and samples compatible sets by rejection.
+PINNED = [
+    ((8, 3), 2000, 8, [
+        (315, "60ea22d0b8da5d1b"), (315, "1c13212835205628"), (315, "8465d1e9cfd7aa3f"),
+    ]),
+    ((12, 4), 600, 2, [
+        (15570, "521060dadb5109bc"), (24420, "a7a1cce94ff644f9"), (15570, "43812305efbe5a15"),
+    ]),
+    ((15, 6), 300, 2, [
+        (24112, "0f896defba013117"), (26199, "2bfd1b59eb1f51f0"), (24609, "e538881d6bcab875"),
+    ]),
+    ((7, 3, 2), 400, 2, [
+        (120, "35d2a9c4d9ae644a"), (120, "08c16c096661c076"), (120, "6df65389b87d8201"),
+    ]),
+    ((10, 3, 3), 400, 2, [
+        (1716, "733c708484b3e0c7"), (1664, "0aae5b43a609891c"), (1716, "93883f63d706c085"),
+    ]),
+]
+
+
+def _witness_digest(res):
+    text = json.dumps(res.to_json_dict()["witnesses"], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config,iterations,restarts,expected", PINNED)
+def test_heuristic_pinned_seeds(config, iterations, restarts, expected):
+    n, k, *rest = config
+    l = rest[0] if rest else None
+    if l is None:
+        assert (math.comb(n, k) > search._SA_ADJ_CAP) == (config == (15, 6))
+    for seed, (value, digest) in enumerate(expected):
+        cfg = HeuristicConfig(seed=seed, iterations=iterations, restarts=restarts)
+        r = heuristic_max(n, k, l, cfg)
+        assert (r.best_value, _witness_digest(r)) == (value, digest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 70),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**70 - 1)), max_size=40),
+)
+def test_miss_counts_match_plain_counters(width, moves):
+    """The bit-sliced counters against one plain counter per index."""
+    full = (1 << width) - 1
+    counter = search._MissCounts(full)
+    counts = [0] * width
+    held = []
+    for add, mask in moves:
+        if add or not held:
+            mask &= full
+            counter.add(mask)
+            held.append(mask)
+            sign = 1
+        else:
+            mask = held.pop(mask % len(held))
+            counter.remove(mask)
+            sign = -1
+        for j in range(width):
+            counts[j] += sign * (mask >> j & 1)
+        assert counter.zero() == sum(1 << j for j in range(width) if counts[j] == 0)
+        for leaving in held:
+            expect = sum(
+                1 << j for j in range(width) if counts[j] - (leaving >> j & 1) == 0
+            )
+            assert counter.zero_without(leaving) == expect
