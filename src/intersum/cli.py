@@ -9,8 +9,9 @@ cross the JSON boundary as decimal strings; small structural integers
 (n, k, l, m, counts of witnesses, runtimes) stay native.
 
 Exit codes: 0 all checks pass, 1 mathematical failure (a counterexample),
-2 usage or hypothesis error, 3 resource cutoff (including the annealer's
-step cap, search.MAX_ANNEAL_STEPS), 4 internal error (the program's own
+2 usage or hypothesis error (including a --budget below 1), 3 resource cutoff
+(including the annealer's step cap, search.MAX_ANNEAL_STEPS, and a --budget
+above search.MAX_EXHAUSTIVE_BUDGET), 4 internal error (the program's own
 bookkeeping disagreed with a recount; a bug, never a finding).
 """
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     TooLargeError,
 )
 from .search import (
+    MAX_EXHAUSTIVE_BUDGET,
     HeuristicConfig,
     heuristic_max,
     max_omega_cross,
@@ -61,6 +63,8 @@ from .weights import (
     omega_family,
     pair_count,
 )
+
+_BUDGET_HELP = f"max C(n,k) for exhaustion, 1..{MAX_EXHAUSTIVE_BUDGET}"
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -595,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("n", type=int)
     ve.add_argument("k", type=int)
     ve.add_argument("l", type=int, nargs="?")
-    ve.add_argument("--budget", type=int, default=24, help="max C(n,k) for exhaustion")
+    ve.add_argument("--budget", type=int, default=24, help=_BUDGET_HELP)
     _add_common(ve)
     ve.set_defaults(func=_cmd_verify_extremal)
 
@@ -603,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("n", type=int)
     se.add_argument("k", type=int)
     se.add_argument("l", type=int, nargs="?")
-    se.add_argument("--budget", type=int, default=24, help="max C(n,k) for exhaustion")
+    se.add_argument("--budget", type=int, default=24, help=_BUDGET_HELP)
     se.add_argument(
         "--naive",
         action="store_true",

@@ -8,6 +8,11 @@ meet graph on all k-subsets, walked with a Bron-Kerbosch recursion carrying
 an admissible upper bound; pruning is strict (ub < incumbent), so ties
 survive and every optimal family is collected.  The cross search sweeps
 subsets of the k-side, pairing each with the largest compatible l-side.
+Both bounds are the paper's double count over element degrees, not pair
+sums, so a node costs O(n) big-int operations: the intersecting bound is
+r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and the cross
+bound is val + sum_x suffix[i][x] d_B(x).  A budget caps C(n, k) (and
+C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
 
 The heuristic is plain simulated annealing over families, restarted from
 empty, with a greedy completion pass so short runs still land on maximal
@@ -20,10 +25,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import permutations
+from operator import mul, sub
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
-from .cyclic import MAX_SWEEP_GROUND, enumerate_cyclic, intervals_of_length
+from .cyclic import MAX_SWEEP_GROUND
 from .errors import (
     BadSizeError,
     CounterexampleError,
@@ -37,6 +43,7 @@ from .setcore import (
     _canonical_masks,
     _check_ground,
     _check_member_size,
+    _is_int,
     canonical_form,
     family_to_dict,
     is_star,
@@ -46,9 +53,11 @@ from .setcore import (
 from .weights import omega_cross, omega_family
 
 # C(n, k) caps: exact searches enumerate up to 2^C states, the annealer only
-# needs the universe (and its adjacency) in memory.
+# needs the universe (and its adjacency) in memory.  A budget is 1 to
+# MAX_EXHAUSTIVE_BUDGET, which sits above C(10,3) = 120 and C(9,4) = 126.
 DEFAULT_EXHAUSTIVE_BUDGET = 24
 NAIVE_BUDGET = 16
+MAX_EXHAUSTIVE_BUDGET = 256
 _SA_UNIVERSE_CAP = 100_000
 _SA_ADJ_CAP = 4096
 _SA_CROSS_B_CAP = 2048
@@ -108,8 +117,13 @@ def _check_params(n: int, k: int) -> None:
     _check_member_size(n, k)
 
 
-def _pair_table(masks_a, masks_b) -> list[list[int]]:
-    return [[(a & b).bit_count() for b in masks_b] for a in masks_a]
+def _check_budget(budget: int) -> None:
+    if not _is_int(budget) or budget < 1:
+        raise BadSizeError(f"budget must be a positive integer, got {budget!r}")
+    if budget > MAX_EXHAUSTIVE_BUDGET:
+        raise TooLargeError(
+            f"budget {budget} exceeds the exhaustive ceiling {MAX_EXHAUSTIVE_BUDGET}"
+        )
 
 
 def _bits_list(mask: int) -> list[int]:
@@ -119,6 +133,24 @@ def _bits_list(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _element_bitsets(n: int, elems: list[tuple[int, ...]]) -> list[int]:
+    """For each element x, the bitset of universe indices whose set holds x."""
+    out = [0] * n
+    for i, xs in enumerate(elems):
+        bit = 1 << i
+        for x in xs:
+            out[x] |= bit
+    return out
+
+
+def _meeting(by_elem: list[int], xs: tuple[int, ...]) -> int:
+    """Bitset of universe indices whose set meets the set with elements xs."""
+    row = 0
+    for x in xs:
+        row |= by_elem[x]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +190,16 @@ def max_omega_intersecting(
     Enumerates every maximal intersecting family (maximal clique of the meet
     graph) by branch and bound.  Refuses universes larger than budget, and
     parameters with n < 2k, where the closed form does not apply.
+
+    deg[x] counts the members of the current family r that hold x, so a
+    candidate v adds sum(deg[x] for x in v).  With p(x) the number of
+    candidates holding x, the node bound r_val + sum_x (deg[x] p(x) + C(p(x), 2))
+    is the candidates' gains plus every meet among them, in O(n) big-int
+    operations.
     """
     t0 = time.perf_counter()
     _check_params(n, k)
+    _check_budget(budget)
     if n < 2 * k:
         raise HypothesisError(f"exact search needs n >= 2k, got n={n}, k={k}")
     count = math.comb(n, k)
@@ -169,50 +208,43 @@ def max_omega_intersecting(
             f"C({n},{k}) = {count} exceeds the exhaustive budget {budget}"
         )
     universe = ksubset_masks(n, k)
-    big_n = len(universe)
-    table = _pair_table(universe, universe)
-    adj = [0] * big_n
-    for i in range(big_n):
-        row = table[i]
-        for j in range(i + 1, big_n):
-            if row[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    elems = [tuple(_bits_list(m)) for m in universe]
+    by_elem = _element_bitsets(n, elems)
+    adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
 
     bound = omega_intersecting_bound(n, k).value
     best = omega_family(star(n, k, 1))
     raw: list[tuple[int, tuple[int, ...]]] = []
+    r: list[int] = []
+    deg = [0] * n
 
-    def expand(r: list[int], r_val: int, p_mask: int, x_mask: int) -> None:
+    def expand(r_val: int, p_mask: int, x_mask: int) -> None:
         nonlocal best
-        if not p_mask and not x_mask:
-            if r_val >= best:
+        if not p_mask:
+            if not x_mask and r_val >= best:
                 best = r_val
                 raw.append((r_val, tuple(r)))
             return
-        cands = _bits_list(p_mask)
-        gains = {}
-        ub = r_val
-        for v in cands:
-            row = table[v]
-            g = sum(row[u] for u in r)
-            gains[v] = g
-            ub += g
-        for i, u in enumerate(cands):
-            row = table[u]
-            for v in cands[i + 1 :]:
-                ub += row[v]
-        if ub < best:
+        # sum_x C(p(x), 2) = (sum_x p(x)^2 - k |P|) / 2
+        ps = [(p_mask & e).bit_count() for e in by_elem]
+        meets = (sum(map(mul, ps, ps)) - k * p_mask.bit_count()) // 2
+        if r_val + sum(map(mul, deg, ps)) + meets < best:
             return
+        gains = {v: sum(deg[x] for x in elems[v]) for v in _bits_list(p_mask)}
         p_cur, x_cur = p_mask, x_mask
-        for v in sorted(cands, key=lambda c: (-gains[c], c)):
+        for v in sorted(gains, key=lambda c: (-gains[c], c)):
             bit = 1 << v
             p_cur &= ~bit
-            expand(r + [v], r_val + gains[v], p_cur & adj[v], x_cur & adj[v])
+            r.append(v)
+            for x in elems[v]:
+                deg[x] += 1
+            expand(r_val + gains[v], p_cur & adj[v], x_cur & adj[v])
+            for x in elems[v]:
+                deg[x] -= 1
+            r.pop()
             x_cur |= bit
-        return
 
-    expand([], 0, (1 << big_n) - 1, 0)
+    expand(0, (1 << len(universe)) - 1, 0)
     # The star is itself maximal for n >= 2k and is never pruned at the seed
     # value, so at least one winner is always recorded.
     winners = [idxs for val, idxs in raw if val == best]
@@ -242,6 +274,7 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
     """
     t0 = time.perf_counter()
     _check_params(n, k)
+    _check_budget(budget)
     if n < 2 * k:
         raise HypothesisError(f"exact search needs n >= 2k, got n={n}, k={k}")
     count = math.comb(n, k)
@@ -249,7 +282,7 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
         raise TooLargeError(f"C({n},{k}) = {count} exceeds the naive budget {budget}")
     universe = ksubset_masks(n, k)
     big_n = len(universe)
-    table = _pair_table(universe, universe)
+    table = [[(a & b).bit_count() for b in universe] for a in universe]
     adj = [0] * big_n
     for i in range(big_n):
         for j in range(i + 1, big_n):
@@ -314,10 +347,16 @@ def max_omega_cross(
     family of all compatible l-sets, so only those pairs are scored.  Every
     maximizing pair (A, B) has A maximal for B and vice versa, hence it is
     scored exactly once.
+
+    Values and bounds are degree sums: d_B(x) is the popcount of B's index
+    bitset against the l-sets holding x, and the sets ua[i:] still to be
+    decided add at most sum_x suffix[i][x] d_B(x), where suffix[i][x] counts
+    those holding x.  A node costs O(n) big-int operations.
     """
     t0 = time.perf_counter()
     _check_params(n, k)
     _check_params(n, l)
+    _check_budget(budget)
     if l > k:
         raise HypothesisError(f"cross search is stated for k >= l, got k={k}, l={l}")
     if n < k + l:
@@ -329,49 +368,50 @@ def max_omega_cross(
         )
     ua = ksubset_masks(n, k)
     ub_masks = ksubset_masks(n, l)
-    na, nb = len(ua), len(ub_masks)
-    table = _pair_table(ua, ub_masks)
-    compat = [0] * na
-    for i in range(na):
-        row = table[i]
-        for j in range(nb):
-            if row[j]:
-                compat[i] |= 1 << j
-    full_b = (1 << nb) - 1
-
-    def row_sum(i: int, bmask: int) -> int:
-        row = table[i]
-        total = 0
-        while bmask:
-            low = bmask & -bmask
-            total += row[low.bit_length() - 1]
-            bmask ^= low
-        return total
+    na = len(ua)
+    elems_a = [tuple(_bits_list(m)) for m in ua]
+    b_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in ub_masks])
+    compat = [_meeting(b_by_elem, xs) for xs in elems_a]
+    suffix = [[0] * n]
+    for xs in reversed(elems_a):
+        row = list(suffix[-1])
+        for x in xs:
+            row[x] += 1
+        suffix.append(row)
+    suffix.reverse()
 
     bound = omega_cross_bound(n, k, l).value
     best = omega_cross(star(n, k, 1), star(n, l, 1))
     raw: list[tuple[int, tuple[int, ...], int]] = []
+    a_idx: list[int] = []
+    d_a = [0] * n
 
-    def sweep(i: int, a_idx: list[int], bmask: int, val: int) -> None:
+    def sweep(i: int, bmask: int, val: int, d_b: list[int]) -> None:
         nonlocal best
         if i == na:
             if a_idx and bmask and val >= best:
                 best = val
                 raw.append((val, tuple(a_idx), bmask))
             return
-        ub = val + sum(row_sum(j, bmask) for j in range(i, na))
-        if ub < best:
+        if val + sum(map(mul, suffix[i], d_b)) < best:
             return
         nb_mask = bmask & compat[i]
         if nb_mask:
-            removed = bmask & ~nb_mask
-            nval = val + row_sum(i, nb_mask)
-            if removed:
-                nval -= sum(row_sum(j, removed) for j in a_idx)
-            sweep(i + 1, a_idx + [i], nb_mask, nval)
-        sweep(i + 1, a_idx, bmask, val)
+            xs = elems_a[i]
+            nd_b = d_b if nb_mask == bmask else [(nb_mask & e).bit_count() for e in b_by_elem]
+            # the l-sets leaving B hold d_b[x] - nd_b[x] copies of x
+            nval = val + sum(nd_b[x] for x in xs) - sum(map(mul, d_a, map(sub, d_b, nd_b)))
+            a_idx.append(i)
+            for x in xs:
+                d_a[x] += 1
+            sweep(i + 1, nb_mask, nval, nd_b)
+            for x in xs:
+                d_a[x] -= 1
+            a_idx.pop()
+        sweep(i + 1, bmask, val, d_b)
 
-    sweep(0, [], full_b, 0)
+    full_b = (1 << len(ub_masks)) - 1
+    sweep(0, full_b, 0, [e.bit_count() for e in b_by_elem])
     # The star pair is closed (each side is the other's maximal partner) for
     # n >= k + l, so its leaf is visited and the seed value is recorded.
     winners = [(a, b) for val, a, b in raw if val == best]
@@ -422,16 +462,6 @@ def _nth_set_bit(mask: int, idx: int) -> int:
 
 def _random_set_bit(rng: random.Random, mask: int) -> int:
     return _nth_set_bit(mask, rng.randrange(mask.bit_count()))
-
-
-def _element_bitsets(n: int, elems: list[tuple[int, ...]]) -> list[int]:
-    """For each element x, the bitset of universe indices whose set holds x."""
-    out = [0] * n
-    for i, xs in enumerate(elems):
-        bit = 1 << i
-        for x in xs:
-            out[x] |= bit
-    return out
 
 
 class _MissCounts:
@@ -505,11 +535,7 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     adj: list[int] = []
     if use_adj:
         by_elem = _element_bitsets(n, elems)
-        for i, xs in enumerate(elems):
-            row = 0
-            for x in xs:
-                row |= by_elem[x]
-            adj.append(row & ~(1 << i))
+        adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
 
     rng = random.Random(cfg.seed)
     best_val = -1
@@ -681,12 +707,6 @@ def _anneal_cross(
     na = len(ua)
     full_b = (1 << len(ub)) - 1
 
-    def compat_of(i: int) -> int:
-        c = 0
-        for x in elems_a[i]:
-            c |= b_by_elem[x]
-        return c
-
     def b_degrees(bmask: int) -> list[int]:
         return [(bmask & e).bit_count() for e in b_by_elem]
 
@@ -716,7 +736,7 @@ def _anneal_cross(
                 if i in a_members:
                     temp *= cfg.decay
                     continue
-                ci = compat_of(i)
+                ci = _meeting(b_by_elem, elems_a[i])
                 nbm = bmask & ci
                 if nbm == 0:
                     temp *= cfg.decay
@@ -733,7 +753,7 @@ def _anneal_cross(
             else:
                 ui = rng.randrange(len(a_members))
                 u = a_members[ui]
-                miss_u = full_b ^ compat_of(u)
+                miss_u = full_b ^ _meeting(b_by_elem, elems_a[u])
                 nbm = misses.zero_without(miss_u)
                 d_b = b_degrees(nbm)
                 nval = sum(map(mul, d_a, d_b)) - sum(d_b[x] for x in elems_a[u])
@@ -834,33 +854,44 @@ class UniquenessReport:
     ok: bool
 
 
-def _pattern_centers(perm, family: Family) -> set[int]:
-    """Elements x whose length-k intervals are exactly the members of family
-    that are intervals of perm."""
-    k, n = family.k, perm.n
-    ivals = intervals_of_length(perm, k)
-    member_bits = set(family.bitmasks)
-    present = frozenset(iv.start for iv in ivals if iv.bits in member_bits)
-    centers = set()
-    for x in range(1, n + 1):
-        p = perm.position_of(x)
-        through = frozenset((p - j) % n for j in range(k))
-        if through == present:
-            centers.add(x)
-    return centers
+def _interval_patterns(n: int, families: list[Family]) -> bool:
+    """True when, in every cyclic order of 1..n, each family's members that
+    are intervals are exactly the intervals through one position, the same
+    position for every family (the family's center in that order).
+
+    Orders are plain tuples of element bits with element 1 first, so the
+    (n-1)! orders match cyclic.enumerate_cyclic.  The elements of an order,
+    written twice, have disjoint bits, so each interval is a difference of
+    prefix sums.  For each family of k-sets, end_of maps the bitset of start
+    positions of the length-k intervals through position p to p.
+    """
+    checks = [
+        (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
+        for f in families
+    ]
+    for rest in permutations([1 << x for x in range(1, n)]):
+        prefix = [0]
+        for b in (1, *rest, 1, *rest):
+            prefix.append(prefix[-1] + b)
+        center = None
+        for t, members, end_of in checks:
+            present = 0
+            for s in range(n):
+                if prefix[s + t] - prefix[s] in members:
+                    present |= 1 << s
+            p = end_of.get(present)
+            if p is None or center not in (None, p):
+                return False
+            center = p
+    return True
 
 
 def _interval_pattern_family(family: Family) -> bool:
-    return all(
-        bool(_pattern_centers(perm, family)) for perm in enumerate_cyclic(family.n)
-    )
+    return _interval_patterns(family.n, [family])
 
 
 def _interval_pattern_pair(fam_a: Family, fam_b: Family) -> bool:
-    for perm in enumerate_cyclic(fam_a.n):
-        if not (_pattern_centers(perm, fam_a) & _pattern_centers(perm, fam_b)):
-            return False
-    return True
+    return _interval_patterns(fam_a.n, [fam_a, fam_b])
 
 
 def uniqueness_report(result: SearchResult) -> UniquenessReport:

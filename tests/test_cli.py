@@ -311,6 +311,30 @@ def test_search_exact_budget_flag(run_cli):
     assert out.splitlines()[0] == "best 165  bound 165  tight  (exhaustive)"
 
 
+def test_budget_range_exits(run_cli, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("universe built")
+
+    monkeypatch.setattr(search, "ksubset_masks", refuse)
+    over = search.MAX_EXHAUSTIVE_BUDGET + 1
+    cases = [
+        (("search-exact", 5, 2), -5, EXIT_USAGE),
+        (("search-exact", 5, 2, 2), 0, EXIT_USAGE),
+        (("verify", "extremal", 5, 2), -1, EXIT_USAGE),
+        (("search-exact", 5, 2), "2.5", EXIT_USAGE),
+        (("search-exact", 30, 15), 10**9, EXIT_RESOURCE),
+        (("search-exact", 30, 15, 10), 10**9, EXIT_RESOURCE),
+        (("verify", "extremal", 30, 15), over, EXIT_RESOURCE),
+        (("verify", "extremal", 30, 15, 10), over, EXIT_RESOURCE),
+    ]
+    for argv, budget, expected in cases:
+        code, out, err = run_cli(*argv, "--budget", budget, "--json")
+        assert (code, out) == (expected, "")
+        assert "Traceback" not in err
+        if expected == EXIT_RESOURCE:
+            assert "ceiling" in err
+
+
 def test_search_heuristic(run_cli):
     args = ("search-heuristic", 8, 3, "--seed", 1, "--iterations", 400, "--restarts", 2)
     code, out, _ = run_cli(*args)

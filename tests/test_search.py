@@ -3,15 +3,18 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
+from intersum.cyclic import enumerate_cyclic, intervals_of_length
 from intersum.errors import (
     BadSizeError,
+    CounterexampleError,
     HypothesisError,
     InternalError,
     NotExhaustiveError,
@@ -22,6 +25,8 @@ from intersum.search import (
     HeuristicConfig,
     SearchResult,
     _family_classes,
+    _interval_pattern_family,
+    _interval_pattern_pair,
     _pair_classes,
     heuristic_max,
     max_omega_cross,
@@ -30,6 +35,7 @@ from intersum.search import (
     uniqueness_report,
 )
 from intersum.setcore import (
+    Family,
     fingerprint,
     is_intersecting,
     is_star,
@@ -159,6 +165,133 @@ def test_exact_cross_guards():
         max_omega_cross(12, 3, 2)
 
 
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def cross_oracle(n, k, l):
+    """Best total and raw optimal pairs, by walking every subset A of the
+    k-universe, pairing it with all l-sets that meet every member of A, and
+    keeping the pairs that are maximal on both sides."""
+    ua, ub = ksubset_masks(n, k), ksubset_masks(n, l)
+    meets_a = [sum(1 << j for j, b in enumerate(ub) if a & b) for a in ua]
+    meets_b = [sum(1 << i for i, a in enumerate(ua) if a & b) for b in ub]
+    compat = [(1 << len(ub)) - 1] * (1 << len(ua))
+    best, winners = 0, []
+    for sub in range(1, 1 << len(ua)):
+        low = sub & -sub
+        compat[sub] = bmask = compat[sub ^ low] & meets_a[low.bit_length() - 1]
+        if not bmask:
+            continue
+        closure = (1 << len(ua)) - 1
+        for j in _bits(bmask):
+            closure &= meets_b[j]
+        if closure != sub:
+            continue
+        fa = [ua[i] for i in _bits(sub)]
+        fb = [ub[j] for j in _bits(bmask)]
+        val = sum((a & b).bit_count() for a in fa for b in fb)
+        if val > best:
+            best, winners = val, []
+        if val == best:
+            winners.append((fa, fb))
+    return best, [
+        (Family.from_bitmasks(n, k, fa), Family.from_bitmasks(n, l, fb)) for fa, fb in winners
+    ]
+
+
+ORACLE_CROSS = [
+    (n, k, l)
+    for k in range(1, 16)
+    for l in range(1, k + 1)
+    for n in range(k + l, 17)
+    if math.comb(n, k) <= 16
+]
+
+
+@pytest.mark.parametrize("n,k,l", ORACLE_CROSS)
+def test_cross_matches_oracle(n, k, l):
+    """Where n < 2k the optimum can exceed the closed form (at (4,3,1),
+    A = {123, 124} and B = {{1}, {2}} total 4 against 3); the search then
+    raises CounterexampleError carrying its witness classes, and those must
+    match the oracle too."""
+    best, winners = cross_oracle(n, k, l)
+    if best > omega_cross_bound(n, k, l).value:
+        with pytest.raises(CounterexampleError, match=f"found {best} above") as exc:
+            max_omega_cross(n, k, l)
+        found = exc.value.witness
+    else:
+        r = max_omega_cross(n, k, l)
+        assert r.best_value == best
+        found = r.witnesses
+    got = [(a.bitmasks, b.bitmasks) for a, b in found]
+    want = [(a.bitmasks, b.bitmasks) for a, b in _pair_classes(n, k, l, winners)]
+    assert got == want
+
+
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Exact results pinned from the pair-summing searches: best value, a digest of
+# the witness classes and a digest of asdict(uniqueness_report(...)).  (6,3)
+# and (4,2,2) are boundary configs with two optimal classes each, so a prune
+# that cuts a tie shows up there.
+PINNED_EXACT = [
+    ((4, 2), 3, "5b25bb4f2e0dc894", "ea711671496b34b6"),
+    ((5, 2), 6, "1b3bef0b379419ac", "da7683bd1b6470ce"),
+    ((6, 2), 10, "45dfdacca5bba130", "bf316de8a24bc904"),
+    ((6, 3), 75, "1cf058c0c28305eb", "005f3bf8fcfbea2a"),
+    ((7, 3), 165, "8748f345e4214825", "b761911ad55def72"),
+    ((8, 2), 21, "4e91d3c753e1e55a", "66ed872c337b6342"),
+    ((8, 3), 315, "1c13212835205628", "e40b407df3efb97a"),
+    ((4, 2, 2), 12, "2b1bdaaef81a4ddd", "c4c0c14d152ba3f4"),
+    ((5, 2, 2), 20, "ce86ce520c34c10b", "09d1b30b3c03382a"),
+    ((6, 2, 2), 30, "4eef88178e390a6c", "5abd3ed4516519ef"),
+    ((6, 3, 2), 70, "f5d4848bc6e8ac4b", "9019d304dc4aaab6"),
+    ((7, 3, 2), 120, "7fbb5018413359ae", "939cb1c9af3ba7ad"),
+]
+
+
+@pytest.mark.parametrize("config,value,witnesses,report", PINNED_EXACT)
+def test_exact_pinned(config, value, witnesses, report):
+    if len(config) == 2:
+        r = max_omega_intersecting(*config, budget=64)
+    else:
+        r = max_omega_cross(*config, budget=64)
+    u = uniqueness_report(r)
+    assert (r.best_value, _witness_digest(r), _digest(asdict(u))) == (value, witnesses, report)
+
+
+def test_budget_range():
+    searches = (
+        lambda b: max_omega_intersecting(5, 2, budget=b),
+        lambda b: max_omega_cross(5, 2, 2, budget=b),
+        lambda b: max_omega_intersecting_naive(4, 2, budget=b),
+    )
+    for run in searches:
+        for bad in (0, -5, 2.5, True, "24"):
+            with pytest.raises(BadSizeError, match="budget"):
+                run(bad)
+        with pytest.raises(TooLargeError, match="ceiling"):
+            run(search.MAX_EXHAUSTIVE_BUDGET + 1)
+        assert run(search.MAX_EXHAUSTIVE_BUDGET).best_value > 0
+
+
+def test_budget_ceiling_before_universe(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("universe built")
+
+    monkeypatch.setattr(search, "ksubset_masks", refuse)
+    with pytest.raises(TooLargeError, match="ceiling"):
+        max_omega_intersecting(30, 15, budget=10**9)
+    with pytest.raises(TooLargeError, match="ceiling"):
+        max_omega_cross(30, 15, 10, budget=10**9)
+    with pytest.raises(TooLargeError, match="ceiling"):
+        max_omega_intersecting_naive(30, 15, budget=10**9)
+
+
 # --- serialization ---
 
 
@@ -201,6 +334,90 @@ def test_uniqueness_boundary_regime():
     flags = [(a.star_center, a.interval_pattern_holds) for a in u.assessments]
     # the triangle also realizes the interval pattern without being a star
     assert flags == [(None, True), (1, True)]
+
+
+def pattern_centers(perm, family):
+    """Elements x whose length-k intervals are exactly the members of family
+    that are intervals of perm, read off CyclicPerm and Interval objects."""
+    k, n = family.k, perm.n
+    member_bits = set(family.bitmasks)
+    present = {iv.start for iv in intervals_of_length(perm, k) if iv.bits in member_bits}
+    return {
+        x
+        for x in range(1, n + 1)
+        if {(perm.position_of(x) - j) % n for j in range(k)} == present
+    }
+
+
+def pattern_family_oracle(family):
+    return all(pattern_centers(perm, family) for perm in enumerate_cyclic(family.n))
+
+
+def pattern_pair_oracle(fa, fb):
+    return all(
+        pattern_centers(perm, fa) & pattern_centers(perm, fb)
+        for perm in enumerate_cyclic(fa.n)
+    )
+
+
+@st.composite
+def pattern_families(draw, n=None):
+    """A family on n <= 7: random members, or a star with a few members
+    toggled (some still pass the check, most near-misses fail it)."""
+    n = n or draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    universe = ksubset_masks(n, k)
+    if draw(st.booleans()):
+        masks = set(draw(st.lists(st.sampled_from(universe), min_size=1, unique=True)))
+    else:
+        masks = set(star(n, k, draw(st.integers(1, n))).bitmasks)
+        for m in draw(st.lists(st.sampled_from(universe), max_size=2)):
+            masks ^= {m}
+        masks = masks or {universe[0]}
+    return Family.from_bitmasks(n, k, masks)
+
+
+TRIANGLE_4_2 = make_family(4, 2, [[1, 2], [1, 3], [2, 3]])
+CLIQUE_6_3 = make_family(6, 3, combinations(range(1, 6), 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_families())
+@example(TRIANGLE_4_2)
+@example(CLIQUE_6_3)
+@example(star(7, 3, 4))
+@example(make_family(5, 2, [[1, 2], [1, 3], [2, 3]]))
+def test_interval_pattern_family_matches_oracle(family):
+    assert _interval_pattern_family(family) == pattern_family_oracle(family)
+
+
+@st.composite
+def pattern_pairs(draw):
+    n = draw(st.integers(2, 7))
+    fa = draw(pattern_families(n))
+    fb = draw(pattern_families(n))
+    return fa, fb
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_pairs())
+@example((TRIANGLE_4_2, TRIANGLE_4_2))
+@example((star(6, 3, 2), star(6, 2, 2)))
+@example((star(6, 3, 2), star(6, 2, 5)))
+@example((CLIQUE_6_3, star(6, 1, 1)))
+def test_interval_pattern_pair_matches_oracle(pair):
+    fa, fb = pair
+    assert _interval_pattern_pair(fa, fb) == pattern_pair_oracle(fa, fb)
+
+
+def test_interval_pattern_oracle_cases():
+    """The oracle itself on known cases: stars and the boundary triangle pass,
+    a non-star triangle off the boundary and stars with distinct centers fail."""
+    assert pattern_family_oracle(star(6, 2, 3))
+    assert pattern_family_oracle(TRIANGLE_4_2)
+    assert not pattern_family_oracle(make_family(5, 2, [[1, 2], [1, 3], [2, 3]]))
+    assert pattern_pair_oracle(star(6, 3, 2), star(6, 2, 2))
+    assert not pattern_pair_oracle(star(6, 3, 2), star(6, 2, 5))
 
 
 def test_uniqueness_requires_exhaustive():
@@ -291,8 +508,7 @@ PINNED = [
 
 
 def _witness_digest(res):
-    text = json.dumps(res.to_json_dict()["witnesses"], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _digest(res.to_json_dict()["witnesses"])
 
 
 @pytest.mark.parametrize("config,iterations,restarts,expected", PINNED)
