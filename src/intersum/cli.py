@@ -48,7 +48,9 @@ from .errors import (
 )
 from .search import (
     MAX_EXHAUSTIVE_BUDGET,
+    NAIVE_BUDGET,
     HeuristicConfig,
+    _check_budget,
     heuristic_max,
     max_omega_cross,
     max_omega_intersecting,
@@ -470,7 +472,10 @@ def _cmd_search_exact(args) -> int:
     if args.naive:
         if args.l is not None:
             raise _CliUsageError("--naive oracle only covers intersecting families")
-        res = max_omega_intersecting_naive(args.n, args.k)
+        _check_budget(args.budget)
+        res = max_omega_intersecting_naive(
+            args.n, args.k, budget=min(args.budget, NAIVE_BUDGET)
+        )
     elif args.l is None:
         res = max_omega_intersecting(args.n, args.k, budget=args.budget)
     else:
@@ -611,7 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument(
         "--naive",
         action="store_true",
-        help="use the enumerate-all-subsets oracle instead of branch and bound",
+        help=(
+            "use the enumerate-all-subsets oracle instead of branch and bound;"
+            f" --budget is checked as usual, then capped at {NAIVE_BUDGET}"
+        ),
     )
     _add_common(se)
     se.set_defaults(func=_cmd_search_exact)

@@ -1,18 +1,22 @@
 """Exact and heuristic maximization of total intersection size.
 
-The exact searches enumerate maximal families only: adding a compatible set
-to a nonempty intersecting family strictly increases the total, so every
-maximizer is maximal and the exact optimum over maximal families is the
-optimum over all families.  Intersecting families are maximal cliques of the
-meet graph on all k-subsets, walked with a Bron-Kerbosch recursion carrying
-an admissible upper bound; pruning is strict (ub < incumbent), so ties
-survive and every optimal family is collected.  The cross search sweeps
-subsets of the k-side, pairing each with the largest compatible l-side.
-Both bounds are the paper's double count over element degrees, not pair
-sums, so a node costs O(n) big-int operations: the intersecting bound is
-r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and the cross
-bound is val + sum_x suffix[i][x] d_B(x).  A budget caps C(n, k) (and
-C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
+Both exact searches look at one representative per relabelling class only.
+Adding a compatible set to a nonempty intersecting family strictly increases
+the total, so every maximizer is maximal.  For intersecting families the
+representatives are the shifted ones: with d(i) >= d(j), the shift S_ij keeps
+a family intersecting and its size and raises omega = sum_x C(d(x), 2) by
+a (d(i) - d(j)) + a^2 when it moves a >= 1 members, so an optimal family,
+relabelled by decreasing degree, is a down-set of the componentwise order.
+The search decides the k-sets in ascending mask order (a linear extension of
+that order) and only ever holds such down-sets.  The cross search sweeps
+the subsets A of the k-side that hold {1..k}, each paired with every l-set
+meeting all of A; any optimal pair relabels to one of these.  Pruning is
+strict (ub < incumbent), so ties survive and every optimal class is
+collected.  Both bounds are the paper's double count over element degrees,
+not pair sums, so a node costs O(n) big-int operations: the intersecting
+bound is r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and
+the cross bound is val + sum_x suffix[i][x] d_B(x).  A budget caps C(n, k)
+(and C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
 
 The heuristic is plain simulated annealing over families, restarted from
 empty, with a greedy completion pass so short runs still land on maximal
@@ -52,9 +56,12 @@ from .setcore import (
 )
 from .weights import omega_cross, omega_family
 
-# C(n, k) caps: exact searches enumerate up to 2^C states, the annealer only
-# needs the universe (and its adjacency) in memory.  A budget is 1 to
-# MAX_EXHAUSTIVE_BUDGET, which sits above C(10,3) = 120 and C(9,4) = 126.
+# C(n, k) caps.  C(n, k) bounds memory, not search cost: the intersecting
+# search is fastest far from n = 2k ((12,3) and (10,4) take milliseconds,
+# (10,5) with C = 252 under a second, (12,6) past two minutes), and the cross
+# sweep can still visit 2^C(n, k) subsets.  A budget is 1 to
+# MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
+# The annealer only needs the universe (and its adjacency) in memory.
 DEFAULT_EXHAUSTIVE_BUDGET = 24
 NAIVE_BUDGET = 16
 MAX_EXHAUSTIVE_BUDGET = 256
@@ -187,15 +194,31 @@ def max_omega_intersecting(
 ) -> SearchResult:
     """Exact maximum of the unordered-pair total over intersecting families.
 
-    Enumerates every maximal intersecting family (maximal clique of the meet
-    graph) by branch and bound.  Refuses universes larger than budget, and
-    parameters with n < 2k, where the closed form does not apply.
+    Enumerates the shifted intersecting families by branch and bound and
+    reports the canonical forms of the optimal ones.  Refuses universes
+    larger than budget, and parameters with n < 2k, where the closed form
+    does not apply.
 
-    deg[x] counts the members of the current family r that hold x, so a
-    candidate v adds sum(deg[x] for x in v).  With p(x) the number of
-    candidates holding x, the node bound r_val + sum_x (deg[x] p(x) + C(p(x), 2))
-    is the candidates' gains plus every meet among them, in O(n) big-int
-    operations.
+    Why shifted families suffice: for i != j the shift S_ij replaces each
+    member A with j in A, i not in A by A - j + i unless that set is already
+    a member; it keeps a family intersecting and keeps its size (Erdos, Ko
+    and Rado 1961; Frankl 1987).  If it moves a >= 1 members, d(i) rises by a
+    and d(j) falls by a, so omega = sum_x C(d(x), 2) grows by
+    a (d(i) - d(j)) + a^2, which is positive when d(i) >= d(j).  An optimal
+    family is therefore fixed by every such shift; relabelled by decreasing
+    degree it is shifted, a down-set of the componentwise order on k-sets.
+    So every optimal class has a shifted member, and the classes are the
+    canonical forms of the optimal shifted families.
+
+    The sets are decided in ascending mask order, a linear extension of the
+    componentwise order.  P holds the sets still takeable: they meet every
+    member and every set below them is a member or still in P, so its lowest
+    set can always be taken.  Taking v drops from P the sets that miss v and
+    every set above one of those; leaving v out drops v and every set above
+    it.  deg[x] counts the members that hold x, a candidate v adds
+    sum(deg[x] for x in v), and with p(x) the number of sets in P holding x
+    the node bound r_val + sum_x (deg[x] p(x) + C(p(x), 2)) costs O(n)
+    big-int operations.  Pruning is strict, so ties survive.
     """
     t0 = time.perf_counter()
     _check_params(n, k)
@@ -210,7 +233,26 @@ def max_omega_intersecting(
     universe = ksubset_masks(n, k)
     elems = [tuple(_bits_list(m)) for m in universe]
     by_elem = _element_bitsets(n, elems)
-    adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
+    index = {m: i for i, m in enumerate(universe)}
+    full = (1 << count) - 1
+    # up[v]: v and every set above it in the componentwise order, built from
+    # the upper covers (one element x raised to x + 1), which come later.
+    up = [0] * count
+    for v in reversed(range(count)):
+        m = universe[v]
+        row = 1 << v
+        for x in elems[v]:
+            if x + 1 < n and not m >> (x + 1) & 1:
+                row |= up[index[m ^ (3 << x)]]
+        up[v] = row
+    # keep[v]: the sets still takeable once v is taken, which excludes v,
+    # the sets missing v and everything above those.
+    keep = []
+    for v, xs in enumerate(elems):
+        blocked = 1 << v
+        for w in _bits_list(full & ~_meeting(by_elem, xs)):
+            blocked |= up[w]
+        keep.append(~blocked)
 
     bound = omega_intersecting_bound(n, k).value
     best = omega_family(star(n, k, 1))
@@ -218,10 +260,10 @@ def max_omega_intersecting(
     r: list[int] = []
     deg = [0] * n
 
-    def expand(r_val: int, p_mask: int, x_mask: int) -> None:
+    def expand(r_val: int, p_mask: int) -> None:
         nonlocal best
         if not p_mask:
-            if not x_mask and r_val >= best:
+            if r and r_val >= best:
                 best = r_val
                 raw.append((r_val, tuple(r)))
             return
@@ -230,22 +272,20 @@ def max_omega_intersecting(
         meets = (sum(map(mul, ps, ps)) - k * p_mask.bit_count()) // 2
         if r_val + sum(map(mul, deg, ps)) + meets < best:
             return
-        gains = {v: sum(deg[x] for x in elems[v]) for v in _bits_list(p_mask)}
-        p_cur, x_cur = p_mask, x_mask
-        for v in sorted(gains, key=lambda c: (-gains[c], c)):
-            bit = 1 << v
-            p_cur &= ~bit
-            r.append(v)
-            for x in elems[v]:
-                deg[x] += 1
-            expand(r_val + gains[v], p_cur & adj[v], x_cur & adj[v])
-            for x in elems[v]:
-                deg[x] -= 1
-            r.pop()
-            x_cur |= bit
+        v = (p_mask & -p_mask).bit_length() - 1
+        xs = elems[v]
+        gain = sum(deg[x] for x in xs)
+        r.append(v)
+        for x in xs:
+            deg[x] += 1
+        expand(r_val + gain, p_mask & keep[v])
+        for x in xs:
+            deg[x] -= 1
+        r.pop()
+        expand(r_val, p_mask & ~up[v])
 
-    expand(0, (1 << len(universe)) - 1, 0)
-    # The star is itself maximal for n >= 2k and is never pruned at the seed
+    expand(0, full)
+    # The star on element 1 is shifted and reached unpruned at the seed
     # value, so at least one winner is always recorded.
     winners = [idxs for val, idxs in raw if val == best]
     witnesses = _family_classes(n, k, winners, universe)
@@ -343,10 +383,12 @@ def max_omega_cross(
 ) -> SearchResult:
     """Exact maximum of the ordered-pair total over cross-intersecting pairs.
 
-    Sweeps subsets A of the k-side; the best partner for a fixed A is the
-    family of all compatible l-sets, so only those pairs are scored.  Every
-    maximizing pair (A, B) has A maximal for B and vice versa, hence it is
-    scored exactly once.
+    Sweeps the subsets A of the k-side that hold ua[0] = {1..k}; the best
+    partner for a fixed A is the family of all compatible l-sets, so only
+    those pairs are scored.  Rooting loses no class: an optimal pair has A
+    nonempty, a relabelling moves one member of A onto {1..k}, and the
+    relabelled B is again every l-set meeting all of A (an l-set left out
+    would add its meets with A), so the sweep scores that pair.
 
     Values and bounds are degree sums: d_B(x) is the popcount of B's index
     bitset against the l-sets holding x, and the sets ua[i:] still to be
@@ -408,7 +450,8 @@ def max_omega_cross(
             for x in xs:
                 d_a[x] -= 1
             a_idx.pop()
-        sweep(i + 1, bmask, val, d_b)
+        if i:  # A always holds ua[0] = {1..k}
+            sweep(i + 1, bmask, val, d_b)
 
     full_b = (1 << len(ub_masks)) - 1
     sweep(0, full_b, 0, [e.bit_count() for e in b_by_elem])

@@ -335,6 +335,32 @@ def test_budget_range_exits(run_cli, monkeypatch):
             assert "ceiling" in err
 
 
+def test_search_exact_naive_budget(run_cli):
+    """--naive checks --budget like branch and bound, then caps it at
+    NAIVE_BUDGET (16): a larger budget never widens the oracle."""
+    cases = [
+        ((4, 2), -5, EXIT_USAGE, "budget"),
+        ((4, 2), search.MAX_EXHAUSTIVE_BUDGET + 1, EXIT_RESOURCE, "ceiling"),
+        ((4, 2), 5, EXIT_RESOURCE, "C(4,2) = 6 exceeds the naive budget 5"),
+        ((8, 2), 100, EXIT_RESOURCE, "C(8,2) = 28 exceeds the naive budget 16"),
+    ]
+    for (n, k), budget, expected, message in cases:
+        code, out, err = run_cli("search-exact", n, k, "--naive", "--budget", budget, "--json")
+        assert (code, out) == (expected, "")
+        assert message in err and "Traceback" not in err
+    code, out, _ = run_cli("search-exact", 6, 2, "--naive", "--budget", 100)
+    assert code == EXIT_PASS
+    assert out.splitlines()[0] == "best 10  bound 10  tight  (exhaustive)"
+
+
+def test_verify_extremal_10_4(run_cli):
+    code, out, _ = run_cli("verify", "extremal", 10, 4, "--budget", 256, "--json")
+    assert code == EXIT_PASS
+    payload = validated(out)
+    assert payload["result"]["ok"] is True
+    assert payload["result"]["search"]["best_value"] == "6888"
+
+
 def test_search_heuristic(run_cli):
     args = ("search-heuristic", 8, 3, "--seed", 1, "--iterations", 400, "--restarts", 2)
     code, out, _ = run_cli(*args)

@@ -77,9 +77,9 @@ def test_exact_family_5_2():
     assert is_star(r.witnesses[0]) == 1
 
 
-@pytest.mark.parametrize("n,k", [(6, 2), (7, 2)])
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 2), (9, 3), (10, 3), (12, 3), (9, 4), (10, 4)])
 def test_exact_family_sole_star(n, k):
-    r = max_omega_intersecting(n, k)
+    r = max_omega_intersecting(n, k, budget=256)
     assert r.best_value == omega_intersecting_bound(n, k).value
     assert r.tight
     assert len(r.witnesses) == 1
@@ -105,6 +105,16 @@ def test_exact_family_boundary_6_3():
         assert omega_family(f) == 75
 
 
+def test_exact_family_boundary_8_4():
+    """n = 2k again has exactly two classes: the star, and all k-sets
+    avoiding one element (any two 4-subsets of a 7-set meet)."""
+    r = max_omega_intersecting(8, 4, budget=256)
+    assert r.best_value == 1330 == r.bound and r.tight
+    got = {f.bitmasks for f in r.witnesses}
+    avoid_8 = make_family(8, 4, combinations(range(1, 8), 4))
+    assert got == {avoid_8.bitmasks, star(8, 4, 1).bitmasks}
+
+
 def test_exact_family_guards():
     with pytest.raises(HypothesisError):
         max_omega_intersecting(5, 3)
@@ -115,11 +125,74 @@ def test_exact_family_guards():
 
 
 def test_naive_matches_branch_and_bound():
-    for n, k in [(4, 2), (5, 2), (6, 1), (4, 1)]:
+    """Every config the oracle reaches: (4,2), (5,2), (6,2) and (n,1) for
+    n <= 16.  At k = 1 the empty family ties the star's value 0, so a search
+    that scored it would report a spurious empty class."""
+    configs = [
+        (n, k)
+        for k in range(1, 9)
+        for n in range(2 * k, 17)
+        if math.comb(n, k) <= search.NAIVE_BUDGET
+    ]
+    assert (6, 2) in configs and (16, 1) in configs and len(configs) == 18
+    for n, k in configs:
         a = max_omega_intersecting(n, k)
         b = max_omega_intersecting_naive(n, k)
+        assert a.witnesses and all(f.bitmasks for f in a.witnesses)
         assert a.best_value == b.best_value
         assert [f.bitmasks for f in a.witnesses] == [f.bitmasks for f in b.witnesses]
+
+
+def shift(masks, i, j):
+    """S_ij on bitmask members: A with j in A, i not in A becomes A - j + i,
+    unless that set is already a member."""
+    bi, bj = 1 << i, 1 << j
+    members = set(masks)
+    out = set()
+    for a in masks:
+        moved = a ^ bi ^ bj
+        if a & bj and not a & bi and moved not in members:
+            out.add(moved)
+        else:
+            out.add(a)
+    return out
+
+
+@st.composite
+def shift_cases(draw):
+    """An intersecting family on n <= 8 (random k-sets, each kept only if it
+    meets every set kept before it) and two distinct elements i, j given as
+    bit positions."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    kept = []
+    for m in draw(st.lists(st.sampled_from(ksubset_masks(n, k)), min_size=1, unique=True)):
+        if all(m & a for a in kept):
+            kept.append(m)
+    i, j = draw(st.permutations(range(n)))[:2]
+    return Family.from_bitmasks(n, k, kept), i, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_cases())
+@example((make_family(6, 3, [[1, 2, 3], [1, 2, 4], [3, 4, 5]]), 0, 4))
+@example((make_family(6, 3, combinations(range(2, 7), 3)), 0, 5))
+@example((make_family(6, 3, [[1, 2, 3], [1, 4, 5], [2, 4, 6]]), 2, 4))
+def test_shift_raises_omega(case):
+    """The lemma the intersecting search rests on: with d(i) >= d(j), S_ij
+    keeps a family intersecting and its size, and raises omega by exactly
+    a (d(i) - d(j)) + a^2, where a is the number of members it moves."""
+    family, i, j = case
+    deg = [sum(m >> x & 1 for m in family.bitmasks) for x in range(family.n)]
+    if deg[i] < deg[j]:
+        i, j = j, i
+    shifted = Family.from_bitmasks(family.n, family.k, shift(family.bitmasks, i, j))
+    a = len(set(family.bitmasks) - set(shifted.bitmasks))
+    assert is_intersecting(shifted)
+    assert len(shifted.bitmasks) == len(family.bitmasks)
+    rise = omega_family(shifted) - omega_family(family)
+    assert rise == a * (deg[i] - deg[j]) + a * a
+    assert (rise > 0) == (a > 0)
 
 
 # --- exact cross search ---
