@@ -33,7 +33,7 @@ from .bounds import (
     omega_strict_bound,
     star_identity_check,
 )
-from .cyclic import double_count_check, katona_verify
+from .cyclic import MAX_SWEEP_GROUND, double_count_check, katona_verify
 from .errors import (
     BadElementError,
     BadLengthError,
@@ -108,7 +108,7 @@ def report_schema() -> dict:
 def _load_family(path: str) -> Family:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliUsageError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -116,6 +116,9 @@ def _load_family(path: str) -> Family:
         raise _CliUsageError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past Python's digit limit, arrays nested past the recursion limit
+        raise _CliUsageError(f"{path}: not a family file: {exc}") from exc
     return family_from_dict(data)
 
 
@@ -297,6 +300,12 @@ def _cmd_verify_katona(args) -> int:
 def _cmd_verify_doublecount(args) -> int:
     t0 = time.perf_counter()
     n, k, l = args.n, args.k, args.l
+    if n > MAX_SWEEP_GROUND:
+        # refuse before the stars are built: C(n-1, k-1) sets each
+        raise TooLargeError(
+            f"verify doublecount sweeps (n-1)! cyclic orders;"
+            f" limit n <= {MAX_SWEEP_GROUND}, got {n}"
+        )
     fam_a = star(n, k, 1)
     fam_b = star(n, l, 1)
     checks = []
@@ -588,7 +597,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vk)
     vk.set_defaults(func=_cmd_verify_katona)
 
-    vd = vsub.add_parser("doublecount", help="representable-pair census on two stars")
+    vd = vsub.add_parser(
+        "doublecount",
+        help="representable-pair census on two stars, 1 <= k, l < n <= 8",
+        description="Census of representable pairs of the stars of k-sets and l-sets"
+        " through element 1, over all (n-1)! cyclic orders, for every meet size m."
+        " Needs 1 <= k, l < n (a member of size n is the whole cycle, no interval;"
+        " exit 2) and n <= 8 (exit 3).",
+    )
     vd.add_argument("n", type=int)
     vd.add_argument("k", type=int)
     vd.add_argument("l", type=int)

@@ -16,11 +16,11 @@ pairs, is the engine behind double_count_check.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice, permutations
+from functools import cached_property, lru_cache
+from itertools import accumulate, islice, permutations
 from math import factorial
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -32,7 +32,9 @@ from .errors import (
 )
 from .setcore import Family, KSet, _require_same_ground, is_cross_intersecting
 
-# All-permutation sweeps walk (n-1)! * 2^n states; 8 keeps that near 10M.
+# All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
+# window reads per order (plus an O(n^2) meet graph for the Katona sweep);
+# 8 keeps that at 5040 orders.
 MAX_SWEEP_GROUND = 8
 # Single-permutation interval analysis only needs the 2^n subset walk.
 MAX_SINGLE_GROUND = 16
@@ -247,69 +249,120 @@ def interval_meet_family(
 
 
 # ---------------------------------------------------------------------------
-# maximum intersecting interval subfamilies (one permutation at a time)
+# windows of a cycle order, and the sweeps over all orders
 # ---------------------------------------------------------------------------
 
 
-def _max_intersecting_interval_subsets(masks: Sequence[int]) -> tuple[int, list[int]]:
-    """Max size and all maximum index subsets S with pairwise-meeting masks.
+def _windows(order_bits: Sequence[int], t: int) -> list[int]:
+    """The n length-t windows of a cycle order; window s starts at position s.
 
-    Subset DP: S is intersecting iff S minus its lowest member is, and the
-    lowest member meets everything else.
+    order_bits holds the element bits in cycle order (1 <= t <= n).  With its
+    first t - 1 entries appended, any n consecutive entries are distinct bits,
+    so window s is the difference prefix[s + t] - prefix[s] of prefix sums.
     """
-    n_iv = len(masks)
-    adj = [0] * n_iv
-    for i in range(n_iv):
-        for j in range(i + 1, n_iv):
-            if masks[i] & masks[j]:
+    prefix = [0, *accumulate(order_bits + order_bits[: t - 1])]
+    return list(map(sub, prefix[t:], prefix))
+
+
+def _orders(n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Element bits of the cycle orders start..stop-1, in enumerate_cyclic order."""
+    for rest in islice(permutations([1 << x for x in range(1, n)]), start, stop):
+        yield (1, *rest)
+
+
+def _pool_map(fn, head: tuple, total: int, workers: int) -> list:
+    """fn over the argument tuples (*head, lo, hi) whose slices lo..hi cover
+    range(total), in order.
+
+    One call covers everything unless more than one worker remains after
+    clamping to the CPU count and to total; only then is a process pool
+    imported and started.  Results never depend on workers.
+    """
+    workers = min(workers, os.cpu_count() or 1, total)
+    if workers <= 1:
+        return [fn((*head, 0, total))]
+    from concurrent.futures import ProcessPoolExecutor
+
+    step = max(1, total // (workers * 4))
+    chunks = [(*head, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
+
+
+# ---------------------------------------------------------------------------
+# maximum intersecting interval subfamilies
+# ---------------------------------------------------------------------------
+
+
+def _meet_graph(masks: Sequence[int]) -> tuple[int, ...]:
+    """adj[i] has bit j set when masks i and j (i != j) share an element."""
+    adj = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if mask & masks[j]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    return tuple(adj)
+
+
+@lru_cache(maxsize=64)
+def _max_intersecting_interval_subsets(
+    adj: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Max size and all maximum cliques of adj, each as its ascending indices.
+
+    Subset DP: S is a clique iff S minus its lowest member is, and the lowest
+    member is adjacent to everything else.  The answer depends on adj alone,
+    so it is memoised on it; the results are immutable.
+    """
+    n_iv = len(adj)
     ok = bytearray(1 << n_iv)
     ok[0] = 1
     best, maxima = 0, [0]
-    for sub in range(1, 1 << n_iv):
-        low = sub & -sub
-        rest = sub ^ low
+    for s in range(1, 1 << n_iv):
+        low = s & -s
+        rest = s ^ low
         if ok[rest] and (rest & ~adj[low.bit_length() - 1]) == 0:
-            ok[sub] = 1
-            size = sub.bit_count()
+            ok[s] = 1
+            size = s.bit_count()
             if size > best:
-                best, maxima = size, [sub]
+                best, maxima = size, [s]
             elif size == best:
-                maxima.append(sub)
-    return best, maxima
+                maxima.append(s)
+    return best, tuple(tuple(i for i in range(n_iv) if s >> i & 1) for s in maxima)
 
 
-def _sweep_one_perm(perm: CyclicPerm, k: int) -> tuple[int, int, bool]:
-    """(max size, number of maxima, all maxima share an element) for perm."""
-    masks = [iv.bits for iv in intervals_of_length(perm, k)]
-    best, maxima = _max_intersecting_interval_subsets(masks)
-    all_fixed = True
-    for sub in maxima:
-        common = (1 << perm.n) - 1
-        s = sub
-        while s:
-            low = s & -s
-            common &= masks[low.bit_length() - 1]
-            s ^= low
-        if common == 0:
-            all_fixed = False
-            break
-    return best, len(maxima), all_fixed
+def _each_shares_element(masks: Sequence[int], cliques: Sequence[Sequence[int]]) -> bool:
+    """Every clique's masks have an element in common."""
+    for clique in cliques:
+        common = -1
+        for i in clique:
+            common &= masks[i]
+        if not common:
+            return False
+    return True
 
 
 def _katona_chunk(args: tuple[int, int, int, int]) -> tuple[int, set[int], bool, int]:
+    """(max size, maxima counts, all maxima share an element, orders seen)
+    over the cycle orders start..stop-1.
+
+    Each order's meet graph is built from its own windows.  Two windows meet
+    exactly when their positions overlap, so every order of one (n, k) gives
+    the same graph and the subset DP runs once; the common-element test
+    still reads each order's masks.
+    """
     n, k, start, stop = args
     best = 0
     counts: set[int] = set()
     all_fixed = True
     seen = 0
-    for rest in islice(permutations(range(2, n + 1)), start, stop):
-        perm = CyclicPerm(n, (1,) + rest)
-        b, c, fixed = _sweep_one_perm(perm, k)
+    for order in _orders(n, start, stop):
+        masks = _windows(order, k)
+        b, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
         best = max(best, b)
-        counts.add(c)
-        all_fixed = all_fixed and fixed
+        counts.add(len(maxima))
+        all_fixed = all_fixed and _each_shares_element(masks, maxima)
         seen += 1
     return best, counts, all_fixed, seen
 
@@ -351,37 +404,22 @@ def katona_verify(
         mode = "all permutations" if all_perms else "one permutation"
         raise TooLargeError(f"katona_verify over {mode} is limited to n <= {limit}, got {n}")
 
-    ident = CyclicPerm.identity(n)
-    best, count0, fixed0 = _sweep_one_perm(ident, k)
-    counts = {count0}
-    all_fixed = fixed0
-    perms_checked = 1
-    if all_perms:
-        total = factorial(n - 1)
-        # More processes than CPUs only add start-up cost; results never depend on it.
-        workers = min(workers, os.cpu_count() or 1)
-        if workers > 1:
-            step = max(1, total // (workers * 4))
-            chunks = [(n, k, lo, min(lo + step, total)) for lo in range(0, total, step)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for b, cs, fixed, seen in pool.map(_katona_chunk, chunks):
-                    best = max(best, b)
-                    counts |= cs
-                    all_fixed = all_fixed and fixed
-        else:
-            for rest in islice(permutations(range(2, n + 1)), 1, None):
-                b, c, fixed = _sweep_one_perm(CyclicPerm(n, (1,) + rest), k)
-                best = max(best, b)
-                counts.add(c)
-                all_fixed = all_fixed and fixed
-        perms_checked = total
+    best = 0
+    counts: set[int] = set()
+    all_fixed = True
+    perms_checked = 0
+    total = factorial(n - 1) if all_perms else 1
+    for b, cs, fixed, seen in _pool_map(_katona_chunk, (n, k), total, workers):
+        best = max(best, b)
+        counts |= cs
+        all_fixed = all_fixed and fixed
+        perms_checked += seen
 
-    # Reconstruct the identity permutation's maxima as concrete families.
-    masks = [iv.bits for iv in intervals_of_length(ident, k)]
-    _, maxima = _max_intersecting_interval_subsets(masks)
+    # The identity order is the first one swept; rebuild its maxima as families.
+    masks = _windows([1 << x for x in range(n)], k)
+    _, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
     examples = tuple(
-        Family.from_bitmasks(n, k, [masks[i] for i in range(n) if sub >> i & 1])
-        for sub in maxima
+        Family.from_bitmasks(n, k, [masks[i] for i in clique]) for clique in maxima
     )
     uniqueness_expected = n > 2 * k
     ok = (
@@ -396,7 +434,7 @@ def katona_verify(
         perms_checked=perms_checked,
         max_size=best,
         expected_max=k,
-        maxima_count=count0,
+        maxima_count=len(maxima),
         maxima_count_consistent=len(counts) == 1,
         all_maxima_fixed=all_fixed,
         uniqueness_expected=uniqueness_expected,
@@ -411,58 +449,39 @@ def katona_verify(
 
 
 def _dc_chunk(
-    args: tuple[int, int, int, list[tuple[int, int]], int, int, int, bool]
+    args: tuple[int, int, int, list[tuple[int, int]], int, bool, int, int]
 ) -> tuple[list[int], bool, int, bool]:
-    """Count representability of each pair over a slice of permutations.
+    """Count representability of each pair over the cycle orders start..stop-1.
 
     Returns per-pair counts, whether meets stayed distinct within every
-    permutation, the max number of distinct meets seen in one permutation,
-    and whether that count stayed within the meet size bound.
+    order, the max number of distinct meets seen in one order, and whether
+    that count stayed within the meet size bound.
+
+    Needs 1 <= k, l < n, so that a k- or l-interval has exactly one start.
+    A pair (A, B) with |A ∩ B| = m is then representable exactly when A is
+    the k-window at some s and B the l-window at s + k - m: their meet is
+    the m-window at s + k - m, which ends at A's right end and starts at B's
+    left end.  So one order costs n dict lookups, whatever the pair count.
     """
-    n, k, l, pairs, m, start, stop, check_bound = args
+    n, k, l, pairs, m, check_bound, start, stop = args
+    index = {pair: i for i, pair in enumerate(pairs)}
+    meet_of = [a & b for a, b in pairs]
     per_pair = [0] * len(pairs)
     meets_distinct = True
     bound_ok = True
     max_meets = 0
-    for rest in islice(permutations(range(2, n + 1)), start, stop):
-        order = (1,) + rest
-        pos = [0] * n
-        for i, e in enumerate(order):
-            pos[e - 1] = i
-        arc_cache: dict[int, tuple[int, int] | None] = {}
-        seen_meets: set[int] = set()
-        hits = 0
-        for idx, (abits, bbits) in enumerate(pairs):
-            a_arc = arc_cache.get(abits, False)
-            if a_arc is False:
-                a_arc = _arc_info(abits, pos, n)
-                arc_cache[abits] = a_arc
-            if a_arc is None:
-                continue
-            b_arc = arc_cache.get(bbits, False)
-            if b_arc is False:
-                b_arc = _arc_info(bbits, pos, n)
-                arc_cache[bbits] = b_arc
-            if b_arc is None:
-                continue
-            pa, sa = a_arc
-            pb, sb = b_arc
-            pm = pa & pb
-            sm = _arc_start(pm, n)
-            if sm is None or sm != sb:
-                continue
-            if (sm + m - 1) % n != (sa + k - 1) % n:
-                continue
-            per_pair[idx] += 1
-            hits += 1
-            meet_bits = abits & bbits
-            if meet_bits in seen_meets:
-                meets_distinct = False
-            seen_meets.add(meet_bits)
-        max_meets = max(max_meets, len(seen_meets))
-        if check_bound and len(seen_meets) > m:
+    shift = k - m
+    for order in _orders(n, start, stop):
+        b_windows = _windows(order, l)
+        window_pairs = zip(_windows(order, k), b_windows[shift:] + b_windows[:shift])
+        hits = [i for i in map(index.get, window_pairs) if i is not None]
+        for i in hits:
+            per_pair[i] += 1
+        meets = {meet_of[i] for i in hits}
+        max_meets = max(max_meets, len(meets))
+        if check_bound and len(meets) > m:
             bound_ok = False
-        if len(seen_meets) != hits:
+        if len(meets) != len(hits):
             meets_distinct = False
     return per_pair, meets_distinct, max_meets, bound_ok
 
@@ -500,6 +519,10 @@ def double_count_check(
     permutation the meets of distinct representable pairs must be distinct,
     and when the families are cross-intersecting with n >= k + l, at most m
     distinct meets of size m can occur per permutation.
+
+    Needs member sizes 1 <= k, l < n (HypothesisError otherwise): a member of
+    size n is the whole cycle, which is no interval, so the census does not
+    apply to it.
     """
     _require_same_ground(fam_a, fam_b)
     n, k, l = fam_a.n, fam_a.k, fam_b.k
@@ -509,6 +532,10 @@ def double_count_check(
         )
     if n < 2:
         raise HypothesisError(f"double counting needs n >= 2, got {n}")
+    if k >= n or l >= n:
+        raise HypothesisError(
+            f"double counting needs member sizes below n; got k={k}, l={l}, n={n}"
+        )
     if not 1 <= m <= min(k, l):
         raise HypothesisError(f"meet size m={m} out of range 1..{min(k, l)}")
 
@@ -520,27 +547,17 @@ def double_count_check(
     ]
     check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
     total = factorial(n - 1)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and pairs:
-        step = max(1, total // (workers * 4))
-        chunk_args = [
-            (n, k, l, pairs, m, lo, min(lo + step, total), check_bound)
-            for lo in range(0, total, step)
-        ]
-        per_pair = [0] * len(pairs)
-        meets_distinct = True
-        bound_ok = True
-        max_meets = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for pp, md, mm, bo in pool.map(_dc_chunk, chunk_args):
-                per_pair = [x + y for x, y in zip(per_pair, pp)]
-                meets_distinct = meets_distinct and md
-                bound_ok = bound_ok and bo
-                max_meets = max(max_meets, mm)
-    else:
-        per_pair, meets_distinct, max_meets, bound_ok = _dc_chunk(
-            (n, k, l, pairs, m, 0, total, check_bound)
-        )
+    # No pairs, nothing to count: a process pool would only add start-up cost.
+    chunks = _pool_map(
+        _dc_chunk,
+        (n, k, l, pairs, m, check_bound),
+        total,
+        workers if pairs else 1,
+    )
+    per_pair = [sum(counts) for counts in zip(*(pp for pp, _, _, _ in chunks))]
+    meets_distinct = all(md for _, md, _, _ in chunks)
+    max_meets = max(mm for _, _, mm, _ in chunks)
+    bound_ok = all(bo for _, _, _, bo in chunks)
 
     if n - k - l + m >= 0:
         factor = (

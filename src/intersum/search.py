@@ -29,11 +29,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import compress
 from operator import mul, sub
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
-from .cyclic import MAX_SWEEP_GROUND
+from .cyclic import MAX_SWEEP_GROUND, _orders, _windows
 from .errors import (
     BadSizeError,
     CounterexampleError,
@@ -902,26 +902,21 @@ def _interval_patterns(n: int, families: list[Family]) -> bool:
     are intervals are exactly the intervals through one position, the same
     position for every family (the family's center in that order).
 
-    Orders are plain tuples of element bits with element 1 first, so the
-    (n-1)! orders match cyclic.enumerate_cyclic.  The elements of an order,
-    written twice, have disjoint bits, so each interval is a difference of
-    prefix sums.  For each family of k-sets, end_of maps the bitset of start
-    positions of the length-k intervals through position p to p.
+    Orders are plain tuples of element bits with element 1 first, in the
+    order of cyclic.enumerate_cyclic, and their intervals are the windows of
+    cyclic._windows.  For each family of k-sets, end_of maps the bitset of
+    start positions of the length-k intervals through position p to p.
     """
     checks = [
         (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
         for f in families
     ]
-    for rest in permutations([1 << x for x in range(1, n)]):
-        prefix = [0]
-        for b in (1, *rest, 1, *rest):
-            prefix.append(prefix[-1] + b)
+    position_bits = [1 << s for s in range(n)]
+    for order in _orders(n):
         center = None
         for t, members, end_of in checks:
-            present = 0
-            for s in range(n):
-                if prefix[s + t] - prefix[s] in members:
-                    present |= 1 << s
+            windows = _windows(order, t)
+            present = sum(compress(position_bits, map(members.__contains__, windows)))
             p = end_of.get(present)
             if p is None or center not in (None, p):
                 return False

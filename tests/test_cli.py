@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, text and JSON output, replay determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intersum
-from intersum import search
+from intersum import cli, search
 from intersum.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -24,7 +26,8 @@ from intersum.cli import (
     main,
     report_schema,
 )
-from intersum.setcore import family_to_dict, full_family, make_family, star
+from intersum.errors import BadElementError, BadSizeError, DuplicateSetError, TooLargeError
+from intersum.setcore import family_from_dict, family_to_dict, full_family, make_family, star
 from intersum.weights import omega_generic, unit_weight
 
 
@@ -200,6 +203,82 @@ def test_omega_duplicate_set_rejected(run_cli, tmp_path):
     assert run_cli("omega", "family", str(path))[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'\xff\xfe{"n": 5}',  # not UTF-8
+        b'{"n": 5, "k": 2, "sets": [[1, ' + b"9" * 5000 + b"]]}",  # past the int digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+    ],
+    ids=["not-utf8", "huge-int", "deep-nesting"],
+)
+def test_omega_unparseable_family_file(run_cli, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli("omega", "family", str(path), "--json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# --- fuzzed family input ---
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_valid_families(draw):
+    """A valid family dict with at most one key dropped, replaced or spoiled."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))
+    members = st.sets(st.integers(1, n), min_size=k, max_size=k).map(sorted)
+    data = {"n": n, "k": k, "sets": draw(st.lists(members, max_size=6))}
+    key = draw(st.sampled_from(["n", "k", "sets"]))
+    change = draw(st.sampled_from(["none", "drop", "replace", "spoil"]))
+    if change == "drop":
+        del data[key]
+    elif change == "replace":
+        data[key] = draw(json_values | st.integers(-3, 70))
+    elif change == "spoil":
+        data["sets"] = data["sets"] + [draw(json_values | st.lists(st.integers(-1, n + 1)))]
+    return data
+
+
+family_inputs = json_values | near_valid_families()
+FAMILY_ERRORS = (BadElementError, BadSizeError, DuplicateSetError, TooLargeError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_inputs)
+def test_family_from_dict_fuzz(data):
+    try:
+        fam = family_from_dict(data)
+    except FAMILY_ERRORS:
+        return
+    assert family_from_dict(family_to_dict(fam)) == fam
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_inputs, st.sampled_from([[], ["--profile"], ["--weight", "unit"]]))
+def test_omega_family_fuzz(data, options):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fam.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["omega", "family", str(path), "--json", *options])
+    assert code in (EXIT_PASS, EXIT_USAGE, EXIT_RESOURCE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_PASS:
+        assert validated(out.getvalue())["manifest"]["command"] == "omega"
+    else:
+        assert out.getvalue() == ""
+
+
 # --- verify ---
 
 
@@ -219,6 +298,24 @@ def test_verify_doublecount(run_cli):
         "PASS: m=2: sweep total 48 == 4 pair(s) x 12 permutation(s) each"
         " over 24 cyclic permutations",
     ]
+
+
+@pytest.mark.parametrize("n,k,l", [(8, 8, 2), (8, 2, 8), (3, 3, 3)])
+def test_verify_doublecount_whole_cycle_member_is_usage_error(run_cli, n, k, l):
+    # a member of size n is the whole cycle, not an interval: exit 2, not a FAIL
+    code, out, err = run_cli("verify", "doublecount", n, k, l)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "HypothesisError" in err and "below n" in err
+
+
+def test_verify_doublecount_refuses_large_n_before_building_stars(run_cli, monkeypatch):
+    def refuse(n, k, x):
+        raise AssertionError("star built")
+
+    monkeypatch.setattr(cli, "star", refuse)
+    code, out, err = run_cli("verify", "doublecount", 40, 20, 20)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "n <= 8" in err
 
 
 def test_verify_doublecount_workers_match(run_cli):
@@ -265,6 +362,19 @@ def test_package_imports_without_numpy():
     code = 'import sys; sys.modules["numpy"] = None; import intersum, intersum.cli'
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_skips_process_pool():
+    # the sweeps import the pool only for --workers > 1, so start-up stays light
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, intersum.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_extremal_strict(run_cli):

@@ -1,16 +1,22 @@
 """Cyclic permutations, arcs, the interval maximum sweep, and pair double counting."""
 
+import concurrent.futures
 import math
+from itertools import combinations, islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum import cyclic
 from intersum.bounds import pm_star_count
 from intersum.cyclic import (
     CyclicPerm,
+    DoubleCountReport,
     Interval,
+    KatonaReport,
+    _arc_info,
+    _arc_start,
     double_count_check,
     enumerate_cyclic,
     interval_meet_family,
@@ -26,7 +32,7 @@ from intersum.errors import (
     HypothesisError,
     TooLargeError,
 )
-from intersum.setcore import kset, make_family, star
+from intersum.setcore import Family, is_cross_intersecting, kset, make_family, star
 
 
 @st.composite
@@ -163,8 +169,7 @@ def test_katona_all_perms():
     assert r.perms_checked == math.factorial(5)
     assert r.maxima_count == 6
 
-    r1 = katona_verify(6, 2, all_perms=True, workers=2)
-    assert (r1.max_size, r1.maxima_count, r1.ok) == (r.max_size, r.maxima_count, r.ok)
+    assert katona_verify(6, 2, all_perms=True, workers=2) == r
 
 
 def test_katona_guards():
@@ -206,8 +211,7 @@ def test_double_count_star_pairs(n, k, l, m):
 def test_double_count_workers_agree():
     a, b = star(6, 3, 1), star(6, 2, 1)
     r1 = double_count_check(a, b, 2, workers=1)
-    r2 = double_count_check(a, b, 2, workers=2)
-    assert (r1.lhs_total, r1.rhs_total, r1.ok) == (r2.lhs_total, r2.rhs_total, r2.ok)
+    assert double_count_check(a, b, 2, workers=2) == r1
 
 
 @pytest.mark.parametrize("cpus,pool_sizes", [(3, [3]), (1, []), (None, [])])
@@ -229,7 +233,8 @@ def test_worker_pool_clamped_to_cpu_count(monkeypatch, cpus, pool_sizes):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cyclic, "ProcessPoolExecutor", RecordingPool)
+    # the sweeps import the pool class only when they start one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cyclic.os, "cpu_count", lambda: cpus)
     r = katona_verify(6, 2, all_perms=True, workers=10**9)
     assert r == katona_verify(6, 2, all_perms=True)
@@ -248,6 +253,13 @@ def test_double_count_guards():
         double_count_check(star(5, 2, 1), star(5, 2, 1), 3)
 
 
+@pytest.mark.parametrize("n,k,l,m", [(8, 8, 2, 2), (8, 2, 8, 2), (3, 3, 3, 3), (3, 3, 1, 1)])
+def test_double_count_refuses_whole_cycle_members(n, k, l, m):
+    # a member of size n is the whole cycle, never an interval: the census does not apply
+    with pytest.raises(HypothesisError, match="below n"):
+        double_count_check(star(n, k, 1), star(n, l, 1), m)
+
+
 def test_double_count_non_star_inputs_still_count():
     # arbitrary families are censused too; only the meet bound needs the cross property
     a = make_family(5, 2, [[1, 2], [3, 4]])
@@ -256,3 +268,186 @@ def test_double_count_non_star_inputs_still_count():
     assert rep.lhs_total == rep.rhs_total == 0
     assert not rep.meet_bound_checked  # family is not cross-intersecting with itself
     assert rep.ok
+
+
+# --- oracles: per-pair arc tests and Interval objects, one order at a time ---
+
+
+def oracle_dc_chunk(n, k, pairs, m):
+    """Per-pair census over all orders by testing each pair for being arcs."""
+    per_pair = [0] * len(pairs)
+    meets_distinct = True
+    meet_counts = []
+    for rest in permutations(range(2, n + 1)):
+        pos = [0] * n
+        for i, e in enumerate((1,) + rest):
+            pos[e - 1] = i
+        seen_meets = set()
+        hits = 0
+        for idx, (abits, bbits) in enumerate(pairs):
+            a_arc = _arc_info(abits, pos, n)
+            b_arc = _arc_info(bbits, pos, n)
+            if a_arc is None or b_arc is None:
+                continue
+            (pa, sa), (pb, sb) = a_arc, b_arc
+            sm = _arc_start(pa & pb, n)
+            if sm is None or sm != sb or (sm + m - 1) % n != (sa + k - 1) % n:
+                continue
+            per_pair[idx] += 1
+            hits += 1
+            if abits & bbits in seen_meets:
+                meets_distinct = False
+            seen_meets.add(abits & bbits)
+        meet_counts.append(len(seen_meets))
+        if len(seen_meets) != hits:
+            meets_distinct = False
+    return per_pair, meets_distinct, meet_counts
+
+
+def oracle_double_count(fam_a, fam_b, m):
+    n, k, l = fam_a.n, fam_a.k, fam_b.k
+    pairs = [(a, b) for a in fam_a.bitmasks for b in fam_b.bitmasks if (a & b).bit_count() == m]
+    per_pair, meets_distinct, meet_counts = oracle_dc_chunk(n, k, pairs, m)
+    check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
+    bound_ok = all(c <= m for c in meet_counts)
+    if n - k - l + m >= 0:
+        factor = math.prod(map(math.factorial, (n - k - l + m, k - m, m, l - m)))
+    else:
+        factor = 0
+    per_pair_ok = all(c == factor for c in per_pair)
+    lhs, rhs = sum(per_pair), len(pairs) * factor
+    return DoubleCountReport(
+        n=n,
+        k=k,
+        l=l,
+        m=m,
+        perms_checked=math.factorial(n - 1),
+        pair_count=len(pairs),
+        per_pair_expected=factor,
+        per_pair_ok=per_pair_ok,
+        lhs_total=lhs,
+        rhs_total=rhs,
+        meets_distinct_ok=meets_distinct,
+        meet_bound_checked=check_bound,
+        meet_bound_ok=bound_ok if check_bound else True,
+        max_meets_in_one_perm=max(meet_counts),
+        ok=lhs == rhs and per_pair_ok and meets_distinct and (bound_ok or not check_bound),
+    )
+
+
+def oracle_max_intersecting(masks):
+    """Max size and all maximum index subsets S with pairwise-meeting masks.
+
+    Subset DP: S is intersecting iff S minus its lowest member is, and the
+    lowest member meets everything else.
+    """
+    n_iv = len(masks)
+    adj = [0] * n_iv
+    for i in range(n_iv):
+        for j in range(i + 1, n_iv):
+            if masks[i] & masks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    ok = bytearray(1 << n_iv)
+    ok[0] = 1
+    best, maxima = 0, [0]
+    for sub in range(1, 1 << n_iv):
+        low = sub & -sub
+        rest = sub ^ low
+        if ok[rest] and (rest & ~adj[low.bit_length() - 1]) == 0:
+            ok[sub] = 1
+            size = sub.bit_count()
+            if size > best:
+                best, maxima = size, [sub]
+            elif size == best:
+                maxima.append(sub)
+    return best, maxima
+
+
+def oracle_sweep_one_perm(perm, k):
+    """(max size, maximum index subsets, all maxima share an element) for perm."""
+    masks = [iv.bits for iv in intervals_of_length(perm, k)]
+    best, maxima = oracle_max_intersecting(masks)
+    all_fixed = True
+    for sub in maxima:
+        common = (1 << perm.n) - 1
+        s = sub
+        while s:
+            low = s & -s
+            common &= masks[low.bit_length() - 1]
+            s ^= low
+        if common == 0:
+            all_fixed = False
+            break
+    return best, maxima, all_fixed
+
+
+def oracle_katona(n, k, all_perms):
+    ident = CyclicPerm.identity(n)
+    best, maxima, all_fixed = oracle_sweep_one_perm(ident, k)
+    counts = {len(maxima)}
+    perms_checked = 1
+    if all_perms:
+        for perm in islice(enumerate_cyclic(n), 1, None):
+            b, subs, fixed = oracle_sweep_one_perm(perm, k)
+            best = max(best, b)
+            counts.add(len(subs))
+            all_fixed = all_fixed and fixed
+            perms_checked += 1
+    masks = [iv.bits for iv in intervals_of_length(ident, k)]
+    examples = tuple(
+        Family.from_bitmasks(n, k, [masks[i] for i in range(n) if sub >> i & 1])
+        for sub in maxima
+    )
+    uniqueness_expected = n > 2 * k
+    return KatonaReport(
+        n=n,
+        k=k,
+        all_perms=all_perms,
+        perms_checked=perms_checked,
+        max_size=best,
+        expected_max=k,
+        maxima_count=len(maxima),
+        maxima_count_consistent=len(counts) == 1,
+        all_maxima_fixed=all_fixed,
+        uniqueness_expected=uniqueness_expected,
+        ok=best == k and len(counts) == 1 and (not uniqueness_expected or all_fixed),
+        example_maxima=examples,
+    )
+
+
+@st.composite
+def family_pairs(draw, max_n=7, max_members=8):
+    """Two families on one ground set, 1 <= k, l < n; may be empty and need not
+    cross-intersect."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, n - 1))
+
+    def family(size):
+        universe = [sum(1 << x for x in c) for c in combinations(range(n), size)]
+        masks = draw(st.lists(st.sampled_from(universe), unique=True, max_size=max_members))
+        return Family.from_bitmasks(n, size, masks)
+
+    return family(k), family(l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_pairs())
+@example((star(5, 2, 1), star(5, 3, 1)))
+@example((Family.from_bitmasks(6, 3, []), star(6, 2, 1)))
+@example((make_family(6, 2, [[1, 2], [3, 4], [5, 6]]), make_family(6, 2, [[1, 2], [3, 4]])))
+@example((make_family(7, 3, [[1, 2, 3], [2, 3, 4], [5, 6, 7]]), star(7, 2, 3)))
+def test_double_count_matches_oracle(fams):
+    fam_a, fam_b = fams
+    for m in range(1, min(fam_a.k, fam_b.k) + 1):
+        assert double_count_check(fam_a, fam_b, m) == oracle_double_count(fam_a, fam_b, m)
+
+
+KATONA_CONFIGS = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
+
+
+@pytest.mark.parametrize("n,k", KATONA_CONFIGS)
+def test_katona_matches_oracle(n, k):
+    assert katona_verify(n, k, all_perms=True) == oracle_katona(n, k, all_perms=True)
+    assert katona_verify(n, k) == oracle_katona(n, k, all_perms=False)
