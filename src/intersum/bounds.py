@@ -58,9 +58,13 @@ def omega_intersecting_bound(n: int, k: int) -> BoundValue:
 
 
 def omega_cross_bound(n: int, k: int, l: int) -> BoundValue:
-    """Maximum ordered-pair total over cross-intersecting pairs, n >= k + l.
+    """Ordered-pair total of a k-star and an l-star with a common center,
+    for every n >= k + l.
 
-    Attained by two stars with a common center.
+    This is not always the maximum over cross-intersecting pairs.  Below
+    n = 2k larger pairs exist: at (4,3,1) a pair reaches 4 against 3, and at
+    (6,4,2) one reaches 86 against 80.  Every config with n >= 2k that the
+    exact cross search covers agrees with this value.
     """
     _check_positive(n, k)
     _check_positive(n, l)

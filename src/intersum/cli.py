@@ -1,17 +1,21 @@
 """Command-line verification frontend.
 
-Commands: bound, omega, verify, search-exact, search-heuristic.  Every
-command can emit a JSON report (--json) that embeds a RunManifest; replaying
-the same command with the same parameters and seed reproduces the report
-byte-for-byte except for runtime fields.  Mathematical quantities that can
-grow without bound (bounds, omega values, census totals, profile counts)
-cross the JSON boundary as decimal strings; small structural integers
-(n, k, l, m, counts of witnesses, runtimes) stay native.
+Commands: bound, omega, verify, search-exact, search-heuristic.  Each command
+function only computes: it returns its result dict, its text lines, its
+manifest outcome and whether its checks passed.  One wrapper, _run, times the
+command, builds the RunManifest from the argument names its subparser
+declares, and writes the text or the --json report.  Replaying the same
+command with the same parameters and seed reproduces the report byte-for-byte
+except for runtime fields.  Mathematical quantities that can grow without
+bound (bounds, omega values, census totals, profile counts) cross the JSON
+boundary as decimal strings; small structural integers (n, k, l, m, counts of
+witnesses, runtimes) stay native.
 
 Exit codes: 0 all checks pass, 1 mathematical failure (a counterexample),
-2 usage or hypothesis error (including a --budget below 1), 3 resource cutoff
-(including the annealer's step cap, search.MAX_ANNEAL_STEPS, and a --budget
-above search.MAX_EXHAUSTIVE_BUDGET), 4 internal error (the program's own
+2 usage or hypothesis error (including a --budget below 1 and an --out file
+that cannot be written), 3 resource cutoff (including the annealer's step cap,
+search.MAX_ANNEAL_STEPS, a --budget above search.MAX_EXHAUSTIVE_BUDGET, and
+a bound n above MAX_BOUND_GROUND), 4 internal error (the program's own
 bookkeeping disagreed with a recount; a bug, never a finding).
 """
 from __future__ import annotations
@@ -20,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -67,6 +71,10 @@ from .weights import (
 )
 
 _BUDGET_HELP = f"max C(n,k) for exhaustion, 1..{MAX_EXHAUSTIVE_BUDGET}"
+
+# Every bound kind at every k <= n/2 stays under 2500 digits up to n = 4096,
+# inside Python's 4300-digit limit on int-to-str conversion; n = 8192 is not.
+MAX_BOUND_GROUND = 4096
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -135,13 +143,37 @@ def _emit(args, manifest: RunManifest, result: dict, text_lines: list[str]) -> N
     else:
         payload = "".join(line + "\n" for line in text_lines)
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            raise _CliUsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
 
-def _ms_since(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
+def _run(args) -> int:
+    """Time one command, wrap its result in the run manifest and emit it.
+
+    A command returns (result, text_lines, outcome, ok); a verify suite
+    leaves outcome None and gets "pass" or "fail" from ok.  The manifest
+    params are the argument names the subparser declares in `params`.
+    """
+    t0 = time.perf_counter()
+    result, lines, outcome, ok = args.func(args)
+    manifest = RunManifest(
+        command=args.command,
+        params={name: getattr(args, name) for name in args.params},
+        seed=getattr(args, "seed", None),
+        version=__version__,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        outcome=("pass" if ok else "fail") if outcome is None else outcome,
+    )
+    _emit(args, manifest, result, lines)
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _fields(report, skip=()) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
 
 
 def _fmt_sets(family: Family) -> str:
@@ -153,8 +185,10 @@ def _fmt_sets(family: Family) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bound(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bound(args):
+    if args.n > MAX_BOUND_GROUND:
+        # refuse before any arithmetic: past this n a value can outgrow str()
+        raise TooLargeError(f"bound needs n <= {MAX_BOUND_GROUND}, got {args.n}")
     if args.kind == "cross":
         if args.l is None:
             raise _CliUsageError("bound cross needs three parameters: n k l")
@@ -168,18 +202,8 @@ def _cmd_bound(args) -> int:
             bv = omega_strict_bound(args.n, args.k)
         else:
             bv = ekr_bound(args.n, args.k)
-    params = {"kind": args.kind, "n": args.n, "k": args.k, "l": args.l}
-    manifest = RunManifest(
-        command="bound",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome=str(bv.value),
-    )
     result = {"kind": args.kind, "config": list(bv.config), "value": str(bv.value)}
-    _emit(args, manifest, result, [str(bv.value)])
-    return EXIT_PASS
+    return result, [str(bv.value)], str(bv.value), True
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +211,7 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_omega(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_omega(args):
     fam_a = _load_family(args.family)
     if args.mode == "family":
         if args.family_b is not None:
@@ -207,35 +230,13 @@ def _cmd_omega(args) -> int:
             value = omega_cross_strict(fam_a, fam_b) if strict else omega_cross(fam_a, fam_b)
         else:
             value = pair_count(fam_a, fam_b, strict=strict)
-    profile = intersection_profile(fam_a, fam_b) if args.profile else None
-
+    result = {"mode": args.mode, "weight": args.weight, "value": str(value), "profile": None}
     lines = [str(value)]
-    result = {
-        "mode": args.mode,
-        "weight": args.weight,
-        "value": str(value),
-        "profile": None,
-    }
-    if profile is not None:
-        result["profile"] = [str(c) for c in profile.counts]
-        lines += [f"m={m}: {c}" for m, c in enumerate(profile.counts)]
-    params = {
-        "mode": args.mode,
-        "family": args.family,
-        "family_b": args.family_b,
-        "weight": args.weight,
-        "profile": args.profile,
-    }
-    manifest = RunManifest(
-        command="omega",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome=str(value),
-    )
-    _emit(args, manifest, result, lines)
-    return EXIT_PASS
+    if args.profile:
+        counts = intersection_profile(fam_a, fam_b).counts
+        result["profile"] = [str(c) for c in counts]
+        lines += [f"m={m}: {c}" for m, c in enumerate(counts)]
+    return result, lines, str(value), True
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,7 @@ def _cmd_omega(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_katona(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_katona(args):
     rep = katona_verify(args.n, args.k, all_perms=args.all_perms, workers=args.workers)
     lines = []
     tag = "PASS" if rep.max_size == rep.expected_max else "FAIL"
@@ -264,41 +264,11 @@ def _cmd_verify_katona(args) -> int:
         )
     if not rep.maxima_count_consistent:
         lines.append("FAIL: maxima counts differ between permutations")
-    result = {
-        "n": rep.n,
-        "k": rep.k,
-        "all_perms": rep.all_perms,
-        "perms_checked": rep.perms_checked,
-        "max_size": rep.max_size,
-        "expected_max": rep.expected_max,
-        "maxima_count": rep.maxima_count,
-        "maxima_count_consistent": rep.maxima_count_consistent,
-        "all_maxima_fixed": rep.all_maxima_fixed,
-        "uniqueness_expected": rep.uniqueness_expected,
-        "ok": rep.ok,
-        "example_maxima": [family_to_dict(f) for f in rep.example_maxima],
-    }
-    params = {
-        "suite": "katona",
-        "n": args.n,
-        "k": args.k,
-        "all_perms": args.all_perms,
-        "workers": args.workers,
-    }
-    manifest = RunManifest(
-        command="verify",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome="pass" if rep.ok else "fail",
-    )
-    _emit(args, manifest, result, lines)
-    return EXIT_PASS if rep.ok else EXIT_FAIL
+    result = {**_fields(rep), "example_maxima": [family_to_dict(f) for f in rep.example_maxima]}
+    return result, lines, None, rep.ok
 
 
-def _cmd_verify_doublecount(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_doublecount(args):
     n, k, l = args.n, args.k, args.l
     if n > MAX_SWEEP_GROUND:
         # refuse before the stars are built: C(n-1, k-1) sets each
@@ -310,10 +280,8 @@ def _cmd_verify_doublecount(args) -> int:
     fam_b = star(n, l, 1)
     checks = []
     lines = []
-    all_ok = True
     for m in range(1, min(k, l) + 1):
         rep = double_count_check(fam_a, fam_b, m, workers=args.workers)
-        all_ok = all_ok and rep.ok
         tag = "PASS" if rep.ok else "FAIL"
         lines.append(
             f"{tag}: m={m}: sweep total {rep.lhs_total} == {rep.pair_count} pair(s)"
@@ -328,38 +296,17 @@ def _cmd_verify_doublecount(args) -> int:
             lines.append(
                 f"FAIL: m={m}: more than {m} distinct meets in one permutation"
             )
-        checks.append(
-            {
-                "m": m,
-                "perms_checked": rep.perms_checked,
-                "pair_count": str(rep.pair_count),
-                "per_pair_expected": str(rep.per_pair_expected),
-                "per_pair_ok": rep.per_pair_ok,
-                "lhs_total": str(rep.lhs_total),
-                "rhs_total": str(rep.rhs_total),
-                "meets_distinct_ok": rep.meets_distinct_ok,
-                "meet_bound_checked": rep.meet_bound_checked,
-                "meet_bound_ok": rep.meet_bound_ok,
-                "max_meets_in_one_perm": rep.max_meets_in_one_perm,
-                "ok": rep.ok,
-            }
-        )
+        check = _fields(rep, skip=("n", "k", "l"))
+        # census totals grow without bound, so they cross JSON as strings
+        for key in ("pair_count", "per_pair_expected", "lhs_total", "rhs_total"):
+            check[key] = str(check[key])
+        checks.append(check)
+    all_ok = all(c["ok"] for c in checks)
     result = {"n": n, "k": k, "l": l, "checks": checks, "ok": all_ok}
-    params = {"suite": "doublecount", "n": n, "k": k, "l": l, "workers": args.workers}
-    manifest = RunManifest(
-        command="verify",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome="pass" if all_ok else "fail",
-    )
-    _emit(args, manifest, result, lines)
-    return EXIT_PASS if all_ok else EXIT_FAIL
+    return result, lines, None, all_ok
 
 
-def _cmd_verify_identity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_identity(args):
     n_max = args.n_max
     if n_max < 2:
         raise _CliUsageError(f"--n-max must be at least 2, got {n_max}")
@@ -384,74 +331,38 @@ def _cmd_verify_identity(args) -> int:
         for n, k, l in failures:
             lines.append(f"FAIL: identity breaks at (n,k,l) = ({n},{k},{l})")
     result = {"n_max": n_max, "configs_checked": checked, "failures": failures, "ok": ok}
-    params = {"suite": "identity", "n_max": n_max}
-    manifest = RunManifest(
-        command="verify",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome="pass" if ok else "fail",
-    )
-    _emit(args, manifest, result, lines)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return result, lines, None, ok
 
 
-def _cmd_verify_extremal(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_extremal(args):
     if args.l is None:
         res = max_omega_intersecting(args.n, args.k, budget=args.budget)
         revals = [omega_family(w) for w in res.witnesses]
     else:
         res = max_omega_cross(args.n, args.k, args.l, budget=args.budget)
         revals = [omega_cross(a, b) for a, b in res.witnesses]
-    lines = []
-    ok = True
-
-    tag = "PASS" if res.tight else "FAIL"
-    ok = ok and res.tight
-    lines.append(f"{tag}: exact maximum {res.best_value} == closed-form bound {res.bound}")
-
     reval_ok = all(v == res.best_value for v in revals)
-    ok = ok and reval_ok
-    tag = "PASS" if reval_ok else "FAIL"
-    lines.append(f"{tag}: all {len(res.witnesses)} witness class(es) re-evaluate to the maximum")
-
     uniq = uniqueness_report(res)
+    ok = res.tight and reval_ok and (uniq.ok or not uniq.uniqueness_expected)
+    lines = [
+        f"{'PASS' if res.tight else 'FAIL'}: exact maximum {res.best_value}"
+        f" == closed-form bound {res.bound}",
+        f"{'PASS' if reval_ok else 'FAIL'}: all {len(res.witnesses)} witness class(es)"
+        " re-evaluate to the maximum",
+    ]
     if uniq.uniqueness_expected:
-        ok = ok and uniq.ok
-        tag = "PASS" if uniq.ok else "FAIL"
         shape = "star pair" if len(res.config) == 3 else "star"
-        lines.append(f"{tag}: unique witness class, and it is the {shape}")
+        lines.append(
+            f"{'PASS' if uniq.ok else 'FAIL'}: unique witness class, and it is the {shape}"
+        )
     else:
         stars = sum(1 for a in uniq.assessments if a.is_extremal_pattern)
         lines.append(
             f"INFO: boundary parameters; {uniq.witness_count} witness class(es),"
             f" {stars} of star form (uniqueness not claimed)"
         )
-
-    result = {
-        "search": res.to_json_dict(),
-        "uniqueness": asdict(uniq),
-        "ok": ok,
-    }
-    params = {
-        "suite": "extremal",
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "budget": args.budget,
-    }
-    manifest = RunManifest(
-        command="verify",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome="pass" if ok else "fail",
-    )
-    _emit(args, manifest, result, lines)
-    return EXIT_PASS if ok else EXIT_FAIL
+    result = {"search": res.to_json_dict(), "uniqueness": asdict(uniq), "ok": ok}
+    return result, lines, None, ok
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +387,7 @@ def _search_lines(res) -> list[str]:
     return lines
 
 
-def _cmd_search_exact(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_search_exact(args):
     if args.naive:
         if args.l is not None:
             raise _CliUsageError("--naive oracle only covers intersecting families")
@@ -489,27 +399,11 @@ def _cmd_search_exact(args) -> int:
         res = max_omega_intersecting(args.n, args.k, budget=args.budget)
     else:
         res = max_omega_cross(args.n, args.k, args.l, budget=args.budget)
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "budget": args.budget,
-        "naive": args.naive,
-    }
-    manifest = RunManifest(
-        command="search-exact",
-        params=params,
-        seed=None,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome=f"best={res.best_value} tight={str(res.tight).lower()}",
-    )
-    _emit(args, manifest, res.to_json_dict(), _search_lines(res))
-    return EXIT_PASS
+    outcome = f"best={res.best_value} tight={str(res.tight).lower()}"
+    return res.to_json_dict(), _search_lines(res), outcome, True
 
 
-def _cmd_search_heuristic(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_search_heuristic(args):
     cfg = HeuristicConfig(
         seed=args.seed,
         iterations=args.iterations,
@@ -518,26 +412,8 @@ def _cmd_search_heuristic(args) -> int:
         decay=args.decay,
     )
     res = heuristic_max(args.n, args.k, args.l, cfg)
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "iterations": cfg.iterations,
-        "restarts": cfg.restarts,
-        "temperature": cfg.initial_temperature,
-        "decay": cfg.decay,
-    }
-    manifest = RunManifest(
-        command="search-heuristic",
-        params=params,
-        seed=cfg.seed,
-        version=__version__,
-        runtime_ms=_ms_since(t0),
-        outcome=f"best={res.best_value}"
-        + ("" if res.bound is None else f" bound={res.bound}"),
-    )
-    _emit(args, manifest, res.to_json_dict(), _search_lines(res))
-    return EXIT_PASS
+    outcome = f"best={res.best_value}" + ("" if res.bound is None else f" bound={res.bound}")
+    return res.to_json_dict(), _search_lines(res), outcome, True
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", help="closed-form extremal values")
+    b = sub.add_parser(
+        "bound",
+        help=f"closed-form extremal values, n <= {MAX_BOUND_GROUND}",
+        description="Closed-form extremal values: family and strict (summed meets over"
+        " intersecting families), ekr (largest intersecting family), cross (ordered-pair"
+        " total of a k-star and an l-star with a common center, for every n >= k + l;"
+        " below n = 2k larger cross-intersecting pairs exist, e.g. (4,3,1) reaches 4"
+        " against 3 and (6,4,2) reaches 86 against 80)."
+        f" Needs n <= {MAX_BOUND_GROUND} (exit 3).",
+    )
     b.add_argument("kind", choices=["family", "cross", "strict", "ekr"])
     b.add_argument("n", type=int)
     b.add_argument("k", type=int)
     b.add_argument("l", type=int, nargs="?", help="second member size (cross only)")
-    _add_common(b)
-    b.set_defaults(func=_cmd_bound)
 
     o = sub.add_parser("omega", help="evaluate intersection totals of family files")
     o.add_argument("mode", choices=["family", "cross", "strict"])
@@ -580,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("family_b", metavar="FAMILY_B_JSON", nargs="?")
     o.add_argument("--weight", choices=["meet", "unit"], default="meet")
     o.add_argument("--profile", action="store_true", help="also print the meet-size histogram")
-    _add_common(o)
-    o.set_defaults(func=_cmd_omega)
 
     v = sub.add_parser("verify", help="run a verification suite")
     vsub = v.add_subparsers(dest="suite", required=True)
@@ -594,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sweep all (n-1)! permutations instead of one representative",
     )
-    _add_common(vk)
-    vk.set_defaults(func=_cmd_verify_katona)
 
     vd = vsub.add_parser(
         "doublecount",
@@ -608,21 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("n", type=int)
     vd.add_argument("k", type=int)
     vd.add_argument("l", type=int)
-    _add_common(vd)
-    vd.set_defaults(func=_cmd_verify_doublecount)
 
     vi = vsub.add_parser("identity", help="star profile total vs closed form")
     vi.add_argument("--n-max", type=int, default=20, dest="n_max", help=f"2..{MAX_GROUND}")
-    _add_common(vi)
-    vi.set_defaults(func=_cmd_verify_identity)
 
     ve = vsub.add_parser("extremal", help="exact search against the closed-form bound")
     ve.add_argument("n", type=int)
     ve.add_argument("k", type=int)
     ve.add_argument("l", type=int, nargs="?")
     ve.add_argument("--budget", type=int, default=24, help=_BUDGET_HELP)
-    _add_common(ve)
-    ve.set_defaults(func=_cmd_verify_extremal)
 
     se = sub.add_parser("search-exact", help="exhaustive maximization")
     se.add_argument("n", type=int)
@@ -637,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
             f" --budget is checked as usual, then capped at {NAIVE_BUDGET}"
         ),
     )
-    _add_common(se)
-    se.set_defaults(func=_cmd_search_exact)
 
     sh = sub.add_parser("search-heuristic", help="seeded annealing lower bound")
     sh.add_argument("n", type=int)
@@ -649,9 +520,24 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--restarts", type=int, default=8)
     sh.add_argument("--temperature", type=float, default=2.0)
     sh.add_argument("--decay", type=float, default=0.999)
-    _add_common(sh)
-    sh.set_defaults(func=_cmd_search_heuristic)
 
+    # each command's function and the argument names its manifest records
+    for sp, func, params in (
+        (b, _cmd_bound, ("kind", "n", "k", "l")),
+        (o, _cmd_omega, ("mode", "family", "family_b", "weight", "profile")),
+        (vk, _cmd_verify_katona, ("suite", "n", "k", "all_perms", "workers")),
+        (vd, _cmd_verify_doublecount, ("suite", "n", "k", "l", "workers")),
+        (vi, _cmd_verify_identity, ("suite", "n_max")),
+        (ve, _cmd_verify_extremal, ("suite", "n", "k", "l", "budget")),
+        (se, _cmd_search_exact, ("n", "k", "l", "budget", "naive")),
+        (
+            sh,
+            _cmd_search_heuristic,
+            ("n", "k", "l", "iterations", "restarts", "temperature", "decay"),
+        ),
+    ):
+        _add_common(sp)
+        sp.set_defaults(func=func, params=params)
     return parser
 
 
@@ -664,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _run(args)
     except _CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -924,14 +924,6 @@ def _interval_patterns(n: int, families: list[Family]) -> bool:
     return True
 
 
-def _interval_pattern_family(family: Family) -> bool:
-    return _interval_patterns(family.n, [family])
-
-
-def _interval_pattern_pair(fam_a: Family, fam_b: Family) -> bool:
-    return _interval_patterns(fam_a.n, [fam_a, fam_b])
-
-
 def uniqueness_report(result: SearchResult) -> UniquenessReport:
     """Classify each witness of a search result against the star pattern.
 
@@ -962,11 +954,11 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
             xa, xb = is_star(fa), is_star(fb)
             extremal = xa is not None and xa == xb
             center = xa if extremal else None
-            holds = _interval_pattern_pair(fa, fb) if check_intervals else None
+            holds = _interval_patterns(n, [fa, fb]) if check_intervals else None
         else:
             center = is_star(wit)
             extremal = center is not None
-            holds = _interval_pattern_family(wit) if check_intervals else None
+            holds = _interval_patterns(n, [wit]) if check_intervals else None
         assessments.append(
             WitnessAssessment(
                 index=idx,

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, text and JSON output, replay determinism."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -69,6 +71,32 @@ def test_bound_below_hypothesis_is_usage_error(run_cli):
     assert code == EXIT_USAGE
     assert out == ""
     assert "error" in err.lower()
+
+
+def test_bound_caps_n_before_any_arithmetic(run_cli, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bound evaluated")
+
+    for kind in ("omega_intersecting", "omega_cross", "omega_strict", "ekr"):
+        monkeypatch.setattr(cli, f"{kind}_bound", refuse)
+    over = cli.MAX_BOUND_GROUND + 1
+    for argv in (
+        ("family", 200000, 100000),
+        ("cross", over, 2, 2),
+        ("strict", over, 2),
+        ("ekr", over, 1),
+    ):
+        code, out, err = run_cli("bound", *argv, "--json")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert f"n <= {cli.MAX_BOUND_GROUND}" in err and "Traceback" not in err
+
+
+def test_bound_at_the_cap(run_cli):
+    n = cli.MAX_BOUND_GROUND
+    for argv in (("family", n, n // 2), ("cross", n, n // 2, n // 2)):
+        code, out, _ = run_cli("bound", *argv)
+        assert code == EXIT_PASS
+        assert len(out.strip()) == 2465  # under Python's 4300-digit str() limit
 
 
 def test_bound_cross_requires_l(run_cli):
@@ -535,6 +563,14 @@ def test_out_writes_file_not_stdout(run_cli, tmp_path):
     validated(path.read_text())
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-parent", "directory"])
+def test_out_unwritable_is_usage_error(run_cli, tmp_path, target):
+    for fmt in ([], ["--json"]):
+        code, out, err = run_cli("bound", "family", 5, 2, "--out", str(tmp_path / target), *fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_usage_errors(run_cli):
     assert run_cli()[0] == EXIT_USAGE
     assert run_cli("no-such-command")[0] == EXIT_USAGE
@@ -543,3 +579,136 @@ def test_usage_errors(run_cli):
 
 def test_exit_code_constants():
     assert (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE, EXIT_INTERNAL) == (0, 1, 2, 3, 4)
+
+
+# --- behaviour contract ---
+#
+# A fixed command set over every subcommand, mode and exit path.  Each entry
+# pins a digest of the exit codes, the text stdout, the stderr and the
+# runtime-stripped --json report; "--out out.txt" reads the written file as
+# stdout.  A refactor
+# of the CLI must leave every digest unchanged.
+
+CONTRACT = [
+    ("bound family 5 2", "0b9f64107573c725"),
+    ("bound cross 6 3 2", "e233ba9f98ad2991"),
+    ("bound strict 5 2", "b2ac54ff9c0f0e46"),
+    ("bound ekr 6 3", "1ab716f4e6839c80"),
+    ("bound family 5 2 --out out.txt", "0b9f64107573c725"),
+    ("bound family 3 2", "f167c93ae3a9a047"),
+    ("bound cross 6 3", "f652d89f07a9c3dc"),
+    ("bound family 6 3 2", "436b3d606e37d4cb"),
+    ("omega family a.json", "f772e071cdb1bbeb"),
+    ("omega family b.json --weight unit", "94487de386859cf8"),
+    ("omega family b.json --profile", "378ef4eeb9d03261"),
+    ("omega cross a.json c.json", "95c6be4950232819"),
+    ("omega cross a.json c.json --profile", "41714b790a8a8a46"),
+    ("omega strict a.json a.json", "6980306f29c194f0"),
+    ("omega cross a.json c.json --weight unit", "441064348edd515c"),
+    ("omega strict a.json c.json --weight unit --profile", "b84b1bbccafd074b"),
+    ("omega family missing.json", "c01fde66424ecdbe"),
+    ("omega family a.json c.json", "1566930e5ab01893"),
+    ("omega cross a.json", "ae7e88ea74a64a35"),
+    ("verify katona 7 3", "4bf062105e927e73"),
+    ("verify katona 6 3", "8a3f1b1d3d29508f"),
+    ("verify katona 6 2 --all-perms", "f0d6ef88771b7338"),
+    ("verify katona 6 2 --all-perms --workers 2", "0bc5e752597710c3"),
+    ("verify doublecount 5 2 2", "31049628b3121867"),
+    ("verify doublecount 6 3 2 --workers 2", "a6349f2a9cecbdd5"),
+    ("verify doublecount 3 3 3", "87dc1200d8018493"),
+    ("verify doublecount 9 3 2", "732158a8d8233425"),
+    ("verify identity --n-max 10", "bd1357441ef6b71c"),
+    ("verify identity --n-max 1", "569c4b5c3b633242"),
+    ("verify identity --n-max 64", "271fd89048a933fb"),
+    ("verify extremal 5 2", "e9b61395a75f5104"),
+    ("verify extremal 4 2", "5e8267309f0f6939"),
+    ("verify extremal 5 2 2", "6f8ac8427cb5e6c2"),
+    ("verify extremal 5 3 2", "61ae751b1ed9c1c4"),
+    ("verify extremal 7 3 --budget 40", "c35d49666700f67d"),
+    ("verify extremal 4 3 1", "2997759af65d555d"),
+    ("search-exact 5 2", "0a0da143b3e48508"),
+    ("search-exact 5 2 2", "0e325adba93375ea"),
+    ("search-exact 6 2 --naive --budget 100", "9334af32c478b057"),
+    ("search-exact 5 2 2 --naive", "bb3a5be72fa095cf"),
+    ("search-exact 12 3", "f924f857b3775d85"),
+    ("search-exact 5 2 --budget 0", "dea69a58b198a52f"),
+    ("search-exact 4 3 1", "2997759af65d555d"),
+    ("search-heuristic 8 3 --seed 1 --iterations 400 --restarts 2", "f453e0863ea6d2be"),
+    ("search-heuristic 6 2 2 --seed 3 --iterations 200 --restarts 2 --temperature 1.5 --decay 0.99", "328eeadc39cdf68b"),
+    ("search-heuristic 5 2 --iterations 0", "67fa7fdc8591af9d"),
+    ("search-heuristic 10 3 --iterations 10000001 --restarts 1", "855d3f8f9e9a95f5"),
+    ("no-such-command", "60c6735a71792448"),
+    ("bound family 5 2 --workers 0", "cdd42da32f39baa3"),
+]
+
+
+def contract_files():
+    """Write the family files the contract commands name into the cwd."""
+    files = {
+        "a.json": star(6, 3, 1),
+        "b.json": make_family(6, 3, [[1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]]),
+        "c.json": make_family(6, 2, [[1, 2], [1, 3], [2, 3], [4, 5]]),
+    }
+    for name, fam in files.items():
+        Path(name).write_text(json.dumps(family_to_dict(fam)))
+
+
+def strip_runtimes_deep(node):
+    if isinstance(node, dict):
+        return {k: strip_runtimes_deep(v) for k, v in node.items() if k != "runtime_ms"}
+    if isinstance(node, list):
+        return [strip_runtimes_deep(v) for v in node]
+    return node
+
+
+def contract_digest(command):
+    """Digest of (exit code, stdout, stderr) for the text run and the --json run."""
+    seen = []
+    for extra in ([], ["--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command.split() + extra)
+        text = out.getvalue()
+        if Path("out.txt").exists():
+            text += Path("out.txt").read_text()
+            Path("out.txt").unlink()
+        if extra and code == EXIT_PASS:
+            text = strip_runtimes_deep(json.loads(text))
+        seen.append([code, text, err.getvalue()])
+    blob = json.dumps(seen, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command,digest", CONTRACT, ids=[c for c, _ in CONTRACT])
+def test_behaviour_contract(command, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    contract_files()
+    assert contract_digest(command) == digest
+
+
+def leaf_parsers(parser, path_dests=frozenset()):
+    """Each subparser that runs a command, with the dests it can read: its own
+    and those of the subcommand choices on its path ("command", "suite")."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests = path_dests | {action.dest}
+                if sub.get_default("func") is None:
+                    yield from leaf_parsers(sub, dests)
+                else:
+                    yield sub, dests | {a.dest for a in sub._actions}
+
+
+def test_manifest_params_are_parser_dests():
+    leaves = list(leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 8
+    for sub, dests in leaves:
+        params = sub.get_default("params")
+        assert params and set(params) <= dests, sub.prog
+
+
+def test_behaviour_contract_failing_suite(tmp_path, monkeypatch):
+    # the exit-1 path of a verify suite that reports FAIL without raising
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "star_identity_check", lambda n, k, l: (n, k, l) != (5, 2, 1))
+    assert contract_digest("verify identity --n-max 6") == "dfdd7396f8267a25"

@@ -25,8 +25,7 @@ from intersum.search import (
     HeuristicConfig,
     SearchResult,
     _family_classes,
-    _interval_pattern_family,
-    _interval_pattern_pair,
+    _interval_patterns,
     _pair_classes,
     heuristic_max,
     max_omega_cross,
@@ -461,7 +460,7 @@ CLIQUE_6_3 = make_family(6, 3, combinations(range(1, 6), 3))
 @example(star(7, 3, 4))
 @example(make_family(5, 2, [[1, 2], [1, 3], [2, 3]]))
 def test_interval_pattern_family_matches_oracle(family):
-    assert _interval_pattern_family(family) == pattern_family_oracle(family)
+    assert _interval_patterns(family.n, [family]) == pattern_family_oracle(family)
 
 
 @st.composite
@@ -480,7 +479,7 @@ def pattern_pairs(draw):
 @example((CLIQUE_6_3, star(6, 1, 1)))
 def test_interval_pattern_pair_matches_oracle(pair):
     fa, fb = pair
-    assert _interval_pattern_pair(fa, fb) == pattern_pair_oracle(fa, fb)
+    assert _interval_patterns(fa.n, [fa, fb]) == pattern_pair_oracle(fa, fb)
 
 
 def test_interval_pattern_oracle_cases():
