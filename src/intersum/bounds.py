@@ -10,6 +10,7 @@ import math
 from typing import NamedTuple
 
 from .errors import BadSizeError, HypothesisError
+from .setcore import _is_int
 
 
 def binom(a: int, b: int) -> int:
@@ -34,7 +35,7 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _check_positive(n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 1:
+    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 1:
         raise BadSizeError(f"parameters must be positive integers, got n={n!r}, k={k!r}")
 
 

@@ -245,7 +245,7 @@ def _cmd_omega(args):
 
 
 def _cmd_verify_katona(args):
-    rep = katona_verify(args.n, args.k, all_perms=args.all_perms, workers=args.workers)
+    rep = katona_verify(args.n, args.k, all_perms=args.all_perms)
     lines = []
     tag = "PASS" if rep.max_size == rep.expected_max else "FAIL"
     lines.append(
@@ -281,7 +281,7 @@ def _cmd_verify_doublecount(args):
     checks = []
     lines = []
     for m in range(1, min(k, l) + 1):
-        rep = double_count_check(fam_a, fam_b, m, workers=args.workers)
+        rep = double_count_check(fam_a, fam_b, m)
         tag = "PASS" if rep.ok else "FAIL"
         lines.append(
             f"{tag}: m={m}: sweep total {rep.lhs_total} == {rep.pair_count} pair(s)"
@@ -429,7 +429,7 @@ def _add_common(sp) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="processes for permutation sweeps, at most the CPU count (same results for any N)",
+        help="accepted for compatibility (N >= 1); every sweep runs in one process",
     )
 
 
@@ -467,7 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     vsub = v.add_subparsers(dest="suite", required=True)
 
-    vk = vsub.add_parser("katona", help="interval families along cyclic permutations")
+    vk = vsub.add_parser(
+        "katona",
+        help="interval families along cyclic permutations",
+        description="Largest pairwise-meeting family of k-intervals of a cyclic order,"
+        " and whether every maximum passes through one element when n > 2k."
+        " Needs 1 <= k and n >= 2k (exit 2), and n <= 16 on the identity order"
+        " or n <= 8 with --all-perms (exit 3).",
+    )
     vk.add_argument("n", type=int)
     vk.add_argument("k", type=int)
     vk.add_argument(

@@ -15,10 +15,9 @@ pairs, is the engine behind double_count_check.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, permutations
 from math import factorial
 from operator import sub
 from typing import Iterator, Sequence
@@ -30,7 +29,7 @@ from .errors import (
     HypothesisError,
     TooLargeError,
 )
-from .setcore import Family, KSet, _require_same_ground, is_cross_intersecting
+from .setcore import Family, KSet, _is_int, _require_same_ground, is_cross_intersecting
 
 # All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
 # window reads per order (plus an O(n^2) meet graph for the Katona sweep);
@@ -264,29 +263,11 @@ def _windows(order_bits: Sequence[int], t: int) -> list[int]:
     return list(map(sub, prefix[t:], prefix))
 
 
-def _orders(n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Element bits of the cycle orders start..stop-1, in enumerate_cyclic order."""
-    for rest in islice(permutations([1 << x for x in range(1, n)]), start, stop):
+def _orders(n: int) -> Iterator[tuple[int, ...]]:
+    """Element bits of every cycle order, in enumerate_cyclic order; the
+    identity order comes first."""
+    for rest in permutations([1 << x for x in range(1, n)]):
         yield (1, *rest)
-
-
-def _pool_map(fn, head: tuple, total: int, workers: int) -> list:
-    """fn over the argument tuples (*head, lo, hi) whose slices lo..hi cover
-    range(total), in order.
-
-    One call covers everything unless more than one worker remains after
-    clamping to the CPU count and to total; only then is a process pool
-    imported and started.  Results never depend on workers.
-    """
-    workers = min(workers, os.cpu_count() or 1, total)
-    if workers <= 1:
-        return [fn((*head, 0, total))]
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = max(1, total // (workers * 4))
-    chunks = [(*head, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +324,6 @@ def _each_shares_element(masks: Sequence[int], cliques: Sequence[Sequence[int]])
     return True
 
 
-def _katona_chunk(args: tuple[int, int, int, int]) -> tuple[int, set[int], bool, int]:
-    """(max size, maxima counts, all maxima share an element, orders seen)
-    over the cycle orders start..stop-1.
-
-    Each order's meet graph is built from its own windows.  Two windows meet
-    exactly when their positions overlap, so every order of one (n, k) gives
-    the same graph and the subset DP runs once; the common-element test
-    still reads each order's masks.
-    """
-    n, k, start, stop = args
-    best = 0
-    counts: set[int] = set()
-    all_fixed = True
-    seen = 0
-    for order in _orders(n, start, stop):
-        masks = _windows(order, k)
-        b, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
-        best = max(best, b)
-        counts.add(len(maxima))
-        all_fixed = all_fixed and _each_shares_element(masks, maxima)
-        seen += 1
-    return best, counts, all_fixed, seen
-
-
 @dataclass(frozen=True)
 class KatonaReport:
     """Outcome of sweeping interval subfamilies of cyclic permutations."""
@@ -385,9 +342,7 @@ class KatonaReport:
     example_maxima: tuple[Family, ...]
 
 
-def katona_verify(
-    n: int, k: int, all_perms: bool = False, workers: int = 1
-) -> KatonaReport:
+def katona_verify(n: int, k: int, all_perms: bool = False) -> KatonaReport:
     """Check that among the n k-intervals of a cyclic permutation, at most k
     pairwise-meeting ones can be chosen, with equality forced through a
     common element when n > 2k.
@@ -395,7 +350,7 @@ def katona_verify(
     With all_perms the sweep covers every cyclic permutation (n <= 8), else
     just the identity cycle (n <= 16).
     """
-    if not (isinstance(n, int) and isinstance(k, int)) or k < 1:
+    if not (_is_int(n) and _is_int(k)) or k < 1:
         raise HypothesisError(f"need integers n >= 2k >= 2, got n={n!r}, k={k!r}")
     if n < 2 * k:
         raise HypothesisError(f"interval analysis needs n >= 2k, got n={n}, k={k}")
@@ -408,19 +363,26 @@ def katona_verify(
     counts: set[int] = set()
     all_fixed = True
     perms_checked = 0
-    total = factorial(n - 1) if all_perms else 1
-    for b, cs, fixed, seen in _pool_map(_katona_chunk, (n, k), total, workers):
+    examples: tuple[Family, ...] = ()
+    # the identity order comes first, and without all_perms it is the only one
+    orders = _orders(n) if all_perms else [next(_orders(n))]
+    # Each order's meet graph is built from its own windows.  Two windows meet
+    # exactly when their positions overlap, so every order of one (n, k) gives
+    # the same graph and the subset DP runs once; the common-element test
+    # still reads each order's masks.
+    for order in orders:
+        masks = _windows(order, k)
+        b, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
+        if not perms_checked:
+            # the identity order's maxima are the examples
+            examples = tuple(
+                Family.from_bitmasks(n, k, [masks[i] for i in clique]) for clique in maxima
+            )
         best = max(best, b)
-        counts |= cs
-        all_fixed = all_fixed and fixed
-        perms_checked += seen
+        counts.add(len(maxima))
+        all_fixed = all_fixed and _each_shares_element(masks, maxima)
+        perms_checked += 1
 
-    # The identity order is the first one swept; rebuild its maxima as families.
-    masks = _windows([1 << x for x in range(n)], k)
-    _, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
-    examples = tuple(
-        Family.from_bitmasks(n, k, [masks[i] for i in clique]) for clique in maxima
-    )
     uniqueness_expected = n > 2 * k
     ok = (
         best == k
@@ -434,7 +396,7 @@ def katona_verify(
         perms_checked=perms_checked,
         max_size=best,
         expected_max=k,
-        maxima_count=len(maxima),
+        maxima_count=len(examples),
         maxima_count_consistent=len(counts) == 1,
         all_maxima_fixed=all_fixed,
         uniqueness_expected=uniqueness_expected,
@@ -446,44 +408,6 @@ def katona_verify(
 # ---------------------------------------------------------------------------
 # double counting of representable pairs across all cyclic permutations
 # ---------------------------------------------------------------------------
-
-
-def _dc_chunk(
-    args: tuple[int, int, int, list[tuple[int, int]], int, bool, int, int]
-) -> tuple[list[int], bool, int, bool]:
-    """Count representability of each pair over the cycle orders start..stop-1.
-
-    Returns per-pair counts, whether meets stayed distinct within every
-    order, the max number of distinct meets seen in one order, and whether
-    that count stayed within the meet size bound.
-
-    Needs 1 <= k, l < n, so that a k- or l-interval has exactly one start.
-    A pair (A, B) with |A ∩ B| = m is then representable exactly when A is
-    the k-window at some s and B the l-window at s + k - m: their meet is
-    the m-window at s + k - m, which ends at A's right end and starts at B's
-    left end.  So one order costs n dict lookups, whatever the pair count.
-    """
-    n, k, l, pairs, m, check_bound, start, stop = args
-    index = {pair: i for i, pair in enumerate(pairs)}
-    meet_of = [a & b for a, b in pairs]
-    per_pair = [0] * len(pairs)
-    meets_distinct = True
-    bound_ok = True
-    max_meets = 0
-    shift = k - m
-    for order in _orders(n, start, stop):
-        b_windows = _windows(order, l)
-        window_pairs = zip(_windows(order, k), b_windows[shift:] + b_windows[:shift])
-        hits = [i for i in map(index.get, window_pairs) if i is not None]
-        for i in hits:
-            per_pair[i] += 1
-        meets = {meet_of[i] for i in hits}
-        max_meets = max(max_meets, len(meets))
-        if check_bound and len(meets) > m:
-            bound_ok = False
-        if len(meets) != len(hits):
-            meets_distinct = False
-    return per_pair, meets_distinct, max_meets, bound_ok
 
 
 @dataclass(frozen=True)
@@ -507,9 +431,7 @@ class DoubleCountReport:
     ok: bool
 
 
-def double_count_check(
-    fam_a: Family, fam_b: Family, m: int, workers: int = 1
-) -> DoubleCountReport:
+def double_count_check(fam_a: Family, fam_b: Family, m: int) -> DoubleCountReport:
     """Count, over all (n-1)! cyclic permutations, the representable pairs
     with meet size exactly m, and compare against the closed-form census.
 
@@ -546,18 +468,30 @@ def double_count_check(
         if (a & b).bit_count() == m
     ]
     check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
-    total = factorial(n - 1)
-    # No pairs, nothing to count: a process pool would only add start-up cost.
-    chunks = _pool_map(
-        _dc_chunk,
-        (n, k, l, pairs, m, check_bound),
-        total,
-        workers if pairs else 1,
-    )
-    per_pair = [sum(counts) for counts in zip(*(pp for pp, _, _, _ in chunks))]
-    meets_distinct = all(md for _, md, _, _ in chunks)
-    max_meets = max(mm for _, _, mm, _ in chunks)
-    bound_ok = all(bo for _, _, _, bo in chunks)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    meet_of = [a & b for a, b in pairs]
+    per_pair = [0] * len(pairs)
+    meets_distinct = True
+    bound_ok = True
+    max_meets = 0
+    # With 1 <= k, l < n a k- or l-interval has exactly one start.  A pair
+    # (A, B) with |A ∩ B| = m is then representable exactly when A is the
+    # k-window at some s and B the l-window at s + k - m: their meet is the
+    # m-window at s + k - m, which ends at A's right end and starts at B's
+    # left end.  So one order costs n dict lookups, whatever the pair count.
+    shift = k - m
+    for order in _orders(n):
+        b_windows = _windows(order, l)
+        window_pairs = zip(_windows(order, k), b_windows[shift:] + b_windows[:shift])
+        hits = [i for i in map(index.get, window_pairs) if i is not None]
+        for i in hits:
+            per_pair[i] += 1
+        meets = {meet_of[i] for i in hits}
+        max_meets = max(max_meets, len(meets))
+        if check_bound and len(meets) > m:
+            bound_ok = False
+        if len(meets) != len(hits):
+            meets_distinct = False
 
     if n - k - l + m >= 0:
         factor = (
@@ -579,7 +513,7 @@ def double_count_check(
         k=k,
         l=l,
         m=m,
-        perms_checked=total,
+        perms_checked=factorial(n - 1),
         pair_count=len(pairs),
         per_pair_expected=factor,
         per_pair_ok=per_pair_ok,

@@ -15,7 +15,7 @@ from intersum.bounds import (
     pm_star_count,
     star_identity_check,
 )
-from intersum.errors import HypothesisError
+from intersum.errors import BadSizeError, HypothesisError
 
 
 def test_binom_conventions():
@@ -38,6 +38,8 @@ def test_ekr_bound_values():
     assert ekr_bound(4, 2) == (3, (4, 2))  # NamedTuple: (value, config)
     with pytest.raises(HypothesisError):
         ekr_bound(5, 3)
+    with pytest.raises(BadSizeError):
+        ekr_bound(4, True)
 
 
 def test_intersecting_bound_values():
@@ -61,6 +63,8 @@ def test_cross_bound_values():
         omega_cross_bound(5, 2, 3)  # k < l
     with pytest.raises(HypothesisError):
         omega_cross_bound(4, 3, 2)  # n < k + l
+    with pytest.raises(BadSizeError):
+        omega_cross_bound(3, True, True)
 
 
 def test_strict_bound_values():

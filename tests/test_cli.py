@@ -392,12 +392,19 @@ def test_package_imports_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_skips_process_pool():
-    # the sweeps import the pool only for --workers > 1, so start-up stays light
+def test_cli_import_skips_process_pool(tmp_path):
+    # every sweep runs in one process, whatever --workers says, and start-up stays light
     src = str(Path(intersum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "report.json")
+    sweeps = [
+        ["verify", "katona", "6", "2", "--all-perms", "--workers", "2", "--json", "--out", out],
+        ["verify", "doublecount", "6", "3", "2", "--workers", "2", "--json", "--out", out],
+    ]
     code = (
-        "import sys, intersum.cli; "
+        "import sys, intersum.cli\n"
+        f"for argv in {sweeps!r}:\n"
+        "    assert intersum.cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

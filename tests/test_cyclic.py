@@ -1,6 +1,5 @@
 """Cyclic permutations, arcs, the interval maximum sweep, and pair double counting."""
 
-import concurrent.futures
 import math
 from itertools import combinations, islice, permutations
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intersum import cyclic
 from intersum.bounds import pm_star_count
 from intersum.cyclic import (
     CyclicPerm,
@@ -169,12 +167,12 @@ def test_katona_all_perms():
     assert r.perms_checked == math.factorial(5)
     assert r.maxima_count == 6
 
-    assert katona_verify(6, 2, all_perms=True, workers=2) == r
-
 
 def test_katona_guards():
     with pytest.raises(HypothesisError):
         katona_verify(5, 3)
+    with pytest.raises(HypothesisError):
+        katona_verify(4, True)
     with pytest.raises(TooLargeError):
         katona_verify(18, 2)
     with pytest.raises(TooLargeError):
@@ -206,42 +204,6 @@ def test_double_count_star_pairs(n, k, l, m):
     assert rep.meets_distinct_ok
     assert rep.meet_bound_checked and rep.meet_bound_ok
     assert rep.max_meets_in_one_perm == m
-
-
-def test_double_count_workers_agree():
-    a, b = star(6, 3, 1), star(6, 2, 1)
-    r1 = double_count_check(a, b, 2, workers=1)
-    assert double_count_check(a, b, 2, workers=2) == r1
-
-
-@pytest.mark.parametrize("cpus,pool_sizes", [(3, [3]), (1, []), (None, [])])
-def test_worker_pool_clamped_to_cpu_count(monkeypatch, cpus, pool_sizes):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # the sweeps import the pool class only when they start one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cyclic.os, "cpu_count", lambda: cpus)
-    r = katona_verify(6, 2, all_perms=True, workers=10**9)
-    assert r == katona_verify(6, 2, all_perms=True)
-    a, b = star(6, 3, 1), star(6, 2, 1)
-    d = double_count_check(a, b, 2, workers=10**9)
-    assert d == double_count_check(a, b, 2)
-    assert sizes == pool_sizes * 2
 
 
 def test_double_count_guards():
