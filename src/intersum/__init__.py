@@ -7,153 +7,106 @@ interval machinery that proves them, exhaustive branch-and-bound at desk
 scale, and a seeded annealing sentinel beyond it.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundValue,
-    binom,
-    ekr_bound,
-    omega_cross_bound,
-    omega_intersecting_bound,
-    omega_strict_bound,
-    pm_star_count,
-    star_identity_check,
-)
-from .cyclic import (
-    CyclicPerm,
-    DoubleCountReport,
-    Interval,
-    KatonaReport,
-    RepresentablePair,
-    double_count_check,
-    enumerate_cyclic,
-    interval_meet_family,
-    interval_of,
-    intervals_of_length,
-    katona_verify,
-    representable_pairs,
-)
-from .errors import (
-    BadElementError,
-    BadLengthError,
-    BadSizeError,
-    CounterexampleError,
-    DuplicateSetError,
-    GroundMismatchError,
-    HypothesisError,
-    InternalError,
-    IntersumError,
-    NotExhaustiveError,
-    TooLargeError,
-)
-from .search import (
-    HeuristicConfig,
-    SearchResult,
-    UniquenessReport,
-    WitnessAssessment,
-    heuristic_max,
-    max_omega_cross,
-    max_omega_intersecting,
-    max_omega_intersecting_naive,
-    uniqueness_report,
-)
-from .setcore import (
-    Family,
-    KSet,
-    Permutation,
-    apply_perm,
-    canonical_form,
-    element_degrees,
-    family_from_dict,
-    family_to_dict,
-    fingerprint,
-    full_family,
-    is_cross_intersecting,
-    is_intersecting,
-    is_star,
-    kset,
-    ksubset_masks,
-    make_family,
-    star,
-)
-from .weights import (
-    Profile,
-    intersection_profile,
-    meet_weight,
-    omega_cross,
-    omega_cross_strict,
-    omega_family,
-    omega_generic,
-    pair_count,
-    unit_weight,
-)
+# Each public name under the module that defines it.  A name is imported on
+# first use (PEP 562), so importing the package, or the CLI for one command,
+# loads only the modules that are used.  Lookups are not cached: a name always
+# resolves to its module's current binding.
+_MODULES = {
+    "bounds": (
+        "BoundValue",
+        "binom",
+        "ekr_bound",
+        "omega_cross_bound",
+        "omega_intersecting_bound",
+        "omega_strict_bound",
+        "pm_star_count",
+        "star_identity_check",
+    ),
+    "cyclic": (
+        "CyclicPerm",
+        "DoubleCountReport",
+        "Interval",
+        "KatonaReport",
+        "RepresentablePair",
+        "double_count_check",
+        "enumerate_cyclic",
+        "interval_meet_family",
+        "interval_of",
+        "intervals_of_length",
+        "katona_verify",
+        "representable_pairs",
+    ),
+    "errors": (
+        "BadElementError",
+        "BadLengthError",
+        "BadSizeError",
+        "CounterexampleError",
+        "DuplicateSetError",
+        "GroundMismatchError",
+        "HypothesisError",
+        "InternalError",
+        "IntersumError",
+        "NotExhaustiveError",
+        "TooLargeError",
+    ),
+    "search": (
+        "HeuristicConfig",
+        "SearchResult",
+        "UniquenessReport",
+        "WitnessAssessment",
+        "heuristic_max",
+        "max_omega_cross",
+        "max_omega_intersecting",
+        "max_omega_intersecting_naive",
+        "uniqueness_report",
+    ),
+    "setcore": (
+        "Family",
+        "KSet",
+        "Permutation",
+        "apply_perm",
+        "canonical_form",
+        "element_degrees",
+        "family_from_dict",
+        "family_to_dict",
+        "fingerprint",
+        "full_family",
+        "is_cross_intersecting",
+        "is_intersecting",
+        "is_star",
+        "kset",
+        "ksubset_masks",
+        "make_family",
+        "star",
+    ),
+    "weights": (
+        "Profile",
+        "intersection_profile",
+        "meet_weight",
+        "omega_cross",
+        "omega_cross_strict",
+        "omega_family",
+        "omega_generic",
+        "pair_count",
+        "unit_weight",
+    ),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BadElementError",
-    "BadLengthError",
-    "BadSizeError",
-    "BoundValue",
-    "CounterexampleError",
-    "CyclicPerm",
-    "DoubleCountReport",
-    "DuplicateSetError",
-    "Family",
-    "GroundMismatchError",
-    "HeuristicConfig",
-    "HypothesisError",
-    "InternalError",
-    "Interval",
-    "IntersumError",
-    "KSet",
-    "KatonaReport",
-    "NotExhaustiveError",
-    "Permutation",
-    "Profile",
-    "RepresentablePair",
-    "SearchResult",
-    "TooLargeError",
-    "UniquenessReport",
-    "WitnessAssessment",
-    "apply_perm",
-    "binom",
-    "canonical_form",
-    "double_count_check",
-    "ekr_bound",
-    "element_degrees",
-    "enumerate_cyclic",
-    "family_from_dict",
-    "family_to_dict",
-    "fingerprint",
-    "full_family",
-    "heuristic_max",
-    "intersection_profile",
-    "interval_meet_family",
-    "interval_of",
-    "intervals_of_length",
-    "is_cross_intersecting",
-    "is_intersecting",
-    "is_star",
-    "katona_verify",
-    "kset",
-    "ksubset_masks",
-    "make_family",
-    "max_omega_cross",
-    "max_omega_intersecting",
-    "max_omega_intersecting_naive",
-    "meet_weight",
-    "omega_cross",
-    "omega_cross_bound",
-    "omega_cross_strict",
-    "omega_family",
-    "omega_generic",
-    "omega_intersecting_bound",
-    "omega_strict_bound",
-    "pair_count",
-    "pm_star_count",
-    "representable_pairs",
-    "star",
-    "star_identity_check",
-    "uniqueness_report",
-    "unit_weight",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

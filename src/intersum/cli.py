@@ -29,15 +29,13 @@ from importlib import resources
 from math import comb
 from pathlib import Path
 
+# The engines (bounds, cyclic, search, weights) are called through the
+# package, whose __getattr__ imports a module on first use of one of its
+# names, so each command loads only the engine it runs.  perfbench's span
+# tracer wraps the package's bindings, so those calls still show as spans.
+import intersum
+
 from . import __version__
-from .bounds import (
-    ekr_bound,
-    omega_cross_bound,
-    omega_intersecting_bound,
-    omega_strict_bound,
-    star_identity_check,
-)
-from .cyclic import MAX_SWEEP_GROUND, double_count_check, katona_verify
 from .errors import (
     BadElementError,
     BadLengthError,
@@ -50,24 +48,15 @@ from .errors import (
     NotExhaustiveError,
     TooLargeError,
 )
-from .search import (
+from .setcore import (
     MAX_EXHAUSTIVE_BUDGET,
+    MAX_GROUND,
+    MAX_SWEEP_GROUND,
     NAIVE_BUDGET,
-    HeuristicConfig,
-    _check_budget,
-    heuristic_max,
-    max_omega_cross,
-    max_omega_intersecting,
-    max_omega_intersecting_naive,
-    uniqueness_report,
-)
-from .setcore import MAX_GROUND, Family, family_from_dict, family_to_dict, star
-from .weights import (
-    intersection_profile,
-    omega_cross,
-    omega_cross_strict,
-    omega_family,
-    pair_count,
+    Family,
+    family_from_dict,
+    family_to_dict,
+    star,
 )
 
 _BUDGET_HELP = f"max C(n,k) for exhaustion, 1..{MAX_EXHAUSTIVE_BUDGET}"
@@ -192,16 +181,16 @@ def _cmd_bound(args):
     if args.kind == "cross":
         if args.l is None:
             raise _CliUsageError("bound cross needs three parameters: n k l")
-        bv = omega_cross_bound(args.n, args.k, args.l)
+        bv = intersum.omega_cross_bound(args.n, args.k, args.l)
     else:
         if args.l is not None:
             raise _CliUsageError(f"bound {args.kind} takes two parameters: n k")
         if args.kind == "family":
-            bv = omega_intersecting_bound(args.n, args.k)
+            bv = intersum.omega_intersecting_bound(args.n, args.k)
         elif args.kind == "strict":
-            bv = omega_strict_bound(args.n, args.k)
+            bv = intersum.omega_strict_bound(args.n, args.k)
         else:
-            bv = ekr_bound(args.n, args.k)
+            bv = intersum.ekr_bound(args.n, args.k)
     result = {"kind": args.kind, "config": list(bv.config), "value": str(bv.value)}
     return result, [str(bv.value)], str(bv.value), True
 
@@ -218,7 +207,7 @@ def _cmd_omega(args):
             raise _CliUsageError("omega family takes a single family file")
         fam_b = fam_a
         if args.weight == "meet":
-            value = omega_family(fam_a)
+            value = intersum.omega_family(fam_a)
         else:
             value = comb(len(fam_a), 2)
     else:
@@ -227,13 +216,14 @@ def _cmd_omega(args):
         fam_b = _load_family(args.family_b)
         strict = args.mode == "strict"
         if args.weight == "meet":
-            value = omega_cross_strict(fam_a, fam_b) if strict else omega_cross(fam_a, fam_b)
+            cross = intersum.omega_cross_strict if strict else intersum.omega_cross
+            value = cross(fam_a, fam_b)
         else:
-            value = pair_count(fam_a, fam_b, strict=strict)
+            value = intersum.pair_count(fam_a, fam_b, strict=strict)
     result = {"mode": args.mode, "weight": args.weight, "value": str(value), "profile": None}
     lines = [str(value)]
     if args.profile:
-        counts = intersection_profile(fam_a, fam_b).counts
+        counts = intersum.intersection_profile(fam_a, fam_b).counts
         result["profile"] = [str(c) for c in counts]
         lines += [f"m={m}: {c}" for m, c in enumerate(counts)]
     return result, lines, str(value), True
@@ -245,7 +235,7 @@ def _cmd_omega(args):
 
 
 def _cmd_verify_katona(args):
-    rep = katona_verify(args.n, args.k, all_perms=args.all_perms)
+    rep = intersum.katona_verify(args.n, args.k, all_perms=args.all_perms)
     lines = []
     tag = "PASS" if rep.max_size == rep.expected_max else "FAIL"
     lines.append(
@@ -281,7 +271,7 @@ def _cmd_verify_doublecount(args):
     checks = []
     lines = []
     for m in range(1, min(k, l) + 1):
-        rep = double_count_check(fam_a, fam_b, m)
+        rep = intersum.double_count_check(fam_a, fam_b, m)
         tag = "PASS" if rep.ok else "FAIL"
         lines.append(
             f"{tag}: m={m}: sweep total {rep.lhs_total} == {rep.pair_count} pair(s)"
@@ -318,7 +308,7 @@ def _cmd_verify_identity(args):
         for k in range(1, n):
             for l in range(1, min(k, n - k) + 1):
                 checked += 1
-                if not star_identity_check(n, k, l):
+                if not intersum.star_identity_check(n, k, l):
                     failures.append([n, k, l])
     ok = not failures
     lines = []
@@ -336,13 +326,13 @@ def _cmd_verify_identity(args):
 
 def _cmd_verify_extremal(args):
     if args.l is None:
-        res = max_omega_intersecting(args.n, args.k, budget=args.budget)
-        revals = [omega_family(w) for w in res.witnesses]
+        res = intersum.max_omega_intersecting(args.n, args.k, budget=args.budget)
+        revals = [intersum.omega_family(w) for w in res.witnesses]
     else:
-        res = max_omega_cross(args.n, args.k, args.l, budget=args.budget)
-        revals = [omega_cross(a, b) for a, b in res.witnesses]
+        res = intersum.max_omega_cross(args.n, args.k, args.l, budget=args.budget)
+        revals = [intersum.omega_cross(a, b) for a, b in res.witnesses]
     reval_ok = all(v == res.best_value for v in revals)
-    uniq = uniqueness_report(res)
+    uniq = intersum.uniqueness_report(res)
     ok = res.tight and reval_ok and (uniq.ok or not uniq.uniqueness_expected)
     lines = [
         f"{'PASS' if res.tight else 'FAIL'}: exact maximum {res.best_value}"
@@ -391,27 +381,29 @@ def _cmd_search_exact(args):
     if args.naive:
         if args.l is not None:
             raise _CliUsageError("--naive oracle only covers intersecting families")
+        from .search import _check_budget
+
         _check_budget(args.budget)
-        res = max_omega_intersecting_naive(
+        res = intersum.max_omega_intersecting_naive(
             args.n, args.k, budget=min(args.budget, NAIVE_BUDGET)
         )
     elif args.l is None:
-        res = max_omega_intersecting(args.n, args.k, budget=args.budget)
+        res = intersum.max_omega_intersecting(args.n, args.k, budget=args.budget)
     else:
-        res = max_omega_cross(args.n, args.k, args.l, budget=args.budget)
+        res = intersum.max_omega_cross(args.n, args.k, args.l, budget=args.budget)
     outcome = f"best={res.best_value} tight={str(res.tight).lower()}"
     return res.to_json_dict(), _search_lines(res), outcome, True
 
 
 def _cmd_search_heuristic(args):
-    cfg = HeuristicConfig(
+    cfg = intersum.HeuristicConfig(
         seed=args.seed,
         iterations=args.iterations,
         restarts=args.restarts,
         initial_temperature=args.temperature,
         decay=args.decay,
     )
-    res = heuristic_max(args.n, args.k, args.l, cfg)
+    res = intersum.heuristic_max(args.n, args.k, args.l, cfg)
     outcome = f"best={res.best_value}" + ("" if res.bound is None else f" bound={res.bound}")
     return res.to_json_dict(), _search_lines(res), outcome, True
 

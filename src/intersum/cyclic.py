@@ -29,12 +29,16 @@ from .errors import (
     HypothesisError,
     TooLargeError,
 )
-from .setcore import Family, KSet, _is_int, _require_same_ground, is_cross_intersecting
+from .setcore import (
+    MAX_SWEEP_GROUND,
+    Family,
+    KSet,
+    _is_int,
+    _require_same_ground,
+    is_cross_intersecting,
+)
 
-# All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
-# window reads per order (plus an O(n^2) meet graph for the Katona sweep);
-# 8 keeps that at 5040 orders.
-MAX_SWEEP_GROUND = 8
+# All-permutation sweeps are capped at MAX_SWEEP_GROUND, defined in setcore.
 # Single-permutation interval analysis only needs the 2^n subset walk.
 MAX_SINGLE_GROUND = 16
 MAX_ENUM_GROUND = 10

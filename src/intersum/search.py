@@ -33,7 +33,7 @@ from itertools import compress
 from operator import mul, sub
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
-from .cyclic import MAX_SWEEP_GROUND, _orders, _windows
+from .cyclic import _orders, _windows
 from .errors import (
     BadSizeError,
     CounterexampleError,
@@ -43,6 +43,9 @@ from .errors import (
     TooLargeError,
 )
 from .setcore import (
+    MAX_EXHAUSTIVE_BUDGET,
+    MAX_SWEEP_GROUND,
+    NAIVE_BUDGET,
     Family,
     _canonical_masks,
     _check_ground,
@@ -56,15 +59,9 @@ from .setcore import (
 )
 from .weights import omega_cross, omega_family
 
-# C(n, k) caps.  C(n, k) bounds memory, not search cost: the intersecting
-# search is fastest far from n = 2k ((12,3) and (10,4) take milliseconds,
-# (10,5) with C = 252 under a second, (12,6) past two minutes), and the cross
-# sweep can still visit 2^C(n, k) subsets.  A budget is 1 to
-# MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
+# C(n, k) caps: NAIVE_BUDGET and MAX_EXHAUSTIVE_BUDGET are defined in setcore.
 # The annealer only needs the universe (and its adjacency) in memory.
 DEFAULT_EXHAUSTIVE_BUDGET = 24
-NAIVE_BUDGET = 16
-MAX_EXHAUSTIVE_BUDGET = 256
 _SA_UNIVERSE_CAP = 100_000
 _SA_ADJ_CAP = 4096
 _SA_CROSS_B_CAP = 2048

@@ -7,8 +7,12 @@ fits one machine word.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -20,6 +24,22 @@ from .errors import (
 )
 
 MAX_GROUND = 63
+
+# The caps below belong to the search and cyclic engines, which import them
+# from here; they live in this module so that the CLI parser can print them
+# without loading either engine.
+#
+# C(n, k) caps.  C(n, k) bounds memory, not search cost: the intersecting
+# search is fastest far from n = 2k ((12,3) and (10,4) take milliseconds,
+# (10,5) with C = 252 under a second, (12,6) past two minutes), and the cross
+# sweep can still visit 2^C(n, k) subsets.  A budget is 1 to
+# MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
+NAIVE_BUDGET = 16
+MAX_EXHAUSTIVE_BUDGET = 256
+# All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
+# window reads per order (plus an O(n^2) meet graph for the Katona sweep);
+# 8 keeps that at 5040 orders.
+MAX_SWEEP_GROUND = 8
 
 
 def _is_int(value: object) -> bool:
@@ -106,23 +126,35 @@ def kset(n: int, elements: Iterable[int]) -> KSet:
 class Family:
     """A duplicate-free collection of k-subsets of {1..n}.
 
-    Members are kept sorted by bitmask, so equal families compare equal and
-    iteration order is reproducible.  Empty families are legal.
+    Members are held as their bitmasks, strictly increasing, so equal
+    families compare equal and iteration order is reproducible.  `members`
+    and iteration build KSet views on demand.  Empty families are legal.
     """
 
     n: int
     k: int
-    members: tuple[KSet, ...]
+    bitmasks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_ground(self.n)
         _check_member_size(self.n, self.k)
+        masks = self.bitmasks
+        if type(masks) is not tuple:
+            raise TypeError(f"bitmasks must be a tuple, got {type(masks).__name__}")
+        if masks and not (
+            set(map(type, masks)) == {int}
+            and masks[0] >= 0
+            and not masks[-1] >> self.n
+            and all(map(lt, masks, masks[1:]))
+            and set(map(int.bit_count, masks)) == {self.k}
+        ):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the error for the first bad member, in the order that
+        building each KSet and then walking the members finds it."""
         prev = -1
-        for ks in self.members:
-            if ks.n != self.n:
-                raise GroundMismatchError(
-                    f"member on ground set size {ks.n} inside family on {self.n}"
-                )
+        for ks in self.members:  # KSet rejects bits outside the ground set
             if ks.size != self.k:
                 raise BadSizeError(f"member {ks!r} does not have size {self.k}")
             if ks.bits == prev:
@@ -130,25 +162,32 @@ class Family:
             if ks.bits < prev:
                 raise ValueError("members must be sorted by bitmask")
             prev = ks.bits
+        raise TypeError("bitmasks must be ints")
 
     @classmethod
     def from_bitmasks(cls, n: int, k: int, masks: Iterable[int]) -> "Family":
-        return cls(n, k, tuple(KSet(n, b) for b in sorted(masks)))
+        return cls(n, k, tuple(sorted(masks)))
 
     @property
-    def bitmasks(self) -> tuple[int, ...]:
-        return tuple(ks.bits for ks in self.members)
+    def members(self) -> tuple[KSet, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bitmasks)
 
     def __iter__(self) -> Iterator[KSet]:
-        return iter(self.members)
+        n = self.n
+        return (KSet(n, b) for b in self.bitmasks)
 
     def __contains__(self, item: object) -> bool:
-        if isinstance(item, KSet):
-            return item.n == self.n and any(ks.bits == item.bits for ks in self.members)
-        return False
+        if not isinstance(item, KSet) or item.n != self.n:
+            return False
+        masks = self.bitmasks
+        i = bisect_left(masks, item.bits)
+        return i < len(masks) and masks[i] == item.bits
+
+    def __repr__(self) -> str:
+        return f"Family(n={self.n!r}, k={self.k!r}, members={self.members!r})"
 
 
 def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
@@ -160,6 +199,42 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
     """
     _check_ground(n)
     _check_member_size(n, k)
+    masks = _bulk_masks(n, k, sets)
+    if masks is None:
+        masks = _checked_masks(n, k, sets)
+    return Family.from_bitmasks(n, k, masks)
+
+
+_BIT = tuple(1 << (e - 1) if e else 0 for e in range(MAX_GROUND + 1))  # _BIT[e] is e's bit
+
+
+def _bulk_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int] | None:
+    """The masks of a list of k-element lists that passes every check at
+    once, or None when any check fails and the first error must be found.
+
+    Elements are exact ints in 1..n, so each mask is a sum of table bits; a
+    repeated element carries, so the sum has popcount k only when all k
+    elements are distinct.
+    """
+    if type(sets) not in (list, tuple) or not sets:
+        return None
+    if set(map(type, sets)) - {list, tuple} or set(map(len, sets)) != {k}:
+        return None
+    elements = list(chain.from_iterable(sets))
+    if set(map(type, elements)) != {int}:
+        return None
+    values = set(elements)
+    if min(values) < 1 or max(values) > n:
+        return None
+    bits = map(_BIT.__getitem__, elements)
+    masks = list(map(sum, zip(*[bits] * k)))  # each set is k consecutive elements
+    if set(map(int.bit_count, masks)) != {k} or len(set(masks)) != len(masks):
+        return None
+    return masks
+
+
+def _checked_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int]:
+    """Member masks in input order; raises on the first bad set or element."""
     masks: list[int] = []
     seen: set[int] = set()
     for s in _items(sets, "sets"):
@@ -172,7 +247,7 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
             raise DuplicateSetError(f"duplicate set {list(bits_to_elements(bits))}")
         seen.add(bits)
         masks.append(bits)
-    return Family.from_bitmasks(n, k, masks)
+    return masks
 
 
 def family_to_dict(family: Family) -> dict:
@@ -180,7 +255,7 @@ def family_to_dict(family: Family) -> dict:
     return {
         "n": family.n,
         "k": family.k,
-        "sets": sorted(list(ks.elements()) for ks in family.members),
+        "sets": sorted(list(bits_to_elements(b)) for b in family.bitmasks),
     }
 
 
@@ -252,14 +327,15 @@ def is_star(family: Family) -> int | None:
     A star is *all* C(n-1,k-1) k-subsets through one point, so it suffices to
     check the common intersection and the count.
     """
-    if not family.members:
+    masks = family.bitmasks
+    if not masks:
         return None
-    common = family.members[0].bits
-    for ks in family.members[1:]:
-        common &= ks.bits
+    common = masks[0]
+    for bits in masks[1:]:
+        common &= bits
         if not common:
             return None
-    if len(family.members) != math.comb(family.n - 1, family.k - 1):
+    if len(masks) != math.comb(family.n - 1, family.k - 1):
         return None
     return (common & -common).bit_length()
 
@@ -455,15 +531,32 @@ def canonical_form(family: Family) -> Family:
     return Family.from_bitmasks(family.n, family.k, masks)
 
 
+# _LANE_DIGITS[b] maps a byte to the digit "1" when its bit b is set, else "0"
+_LANE_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+
+
+def _columns(masks: tuple[int, ...], n: int) -> list[int]:
+    """For x in 0..n-1, the bitset of the masks holding bit x: masks[i] is
+    bit len(masks) - 1 - i, an order its users (popcounts and ANDs of
+    columns) never see.
+
+    Transposes the bit matrix in byte operations: every mask fits one
+    little-endian 64-bit word (MAX_GROUND = 63 < 64), so byte x // 8 of each
+    word holds bit x, and mapping those bytes to digits spells the column in
+    binary.
+    """
+    if not masks:
+        return [0] * n
+    words = array("Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    return [int(raw[x // 8 :: 8].translate(_LANE_DIGITS[x % 8]), 2) for x in range(n)]
+
+
 def element_degrees(family: Family) -> tuple[int, ...]:
     """For each element 1..n, how many members contain it."""
-    degs = [0] * family.n
-    for bits in family.bitmasks:
-        while bits:
-            low = bits & -bits
-            degs[low.bit_length() - 1] += 1
-            bits ^= low
-    return tuple(degs)
+    return tuple(col.bit_count() for col in _columns(family.bitmasks, family.n))
 
 
 def fingerprint(family: Family) -> tuple:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .setcore import Family, KSet, _require_same_ground, element_degrees
+from .setcore import Family, KSet, _columns, _require_same_ground, element_degrees
 
 PairWeight = Callable[[KSet, KSet], int]
 
@@ -74,36 +74,33 @@ def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
     """Histogram of |A ∩ B| over ordered pairs; indices 0..min(k_a, k_b).
 
     The histogram is symmetric in its arguments, so the larger family becomes
-    bit positions: col[x] marks its members containing x.  For each member y
-    of the other family, lev[j] marks the members that meet y in exactly j of
-    the elements of y seen so far.
+    bit positions: col[x] marks its members holding element x + 1.  For each
+    member y of the other family, at_least[j] marks the members that meet y
+    in at least j of the elements of y seen so far, and each new element
+    moves the members of its column up one level.  Pairs meeting in exactly
+    m elements are those meeting in at least m less those meeting in at
+    least m + 1.
     """
     _require_same_ground(fam_a, fam_b)
     top = min(fam_a.k, fam_b.k)
     big, small = sorted((fam_a.bitmasks, fam_b.bitmasks), key=len, reverse=True)
-    full = (1 << len(big)) - 1
-    col = [0] * fam_a.n
-    for i, bits in enumerate(big):
-        while bits:
-            low = bits & -bits
-            col[low.bit_length() - 1] |= 1 << i
-            bits ^= low
-    counts = [0] * (top + 1)
+    col = _columns(big, fam_a.n)
+    reach = [len(big) * len(small)] + [0] * top  # pairs meeting in >= j elements
     for bits in small:
-        lev = [full] + [0] * top
+        at_least = [0] * (top + 1)  # at_least[0], every member, is never read
         seen = 0
         while bits:
             low = bits & -bits
             c = col[low.bit_length() - 1]
-            out = full ^ c
             seen = min(seen + 1, top)
-            for j in range(seen, 0, -1):
-                lev[j] = (lev[j] & out) | (lev[j - 1] & c)
-            lev[0] &= out
+            for j in range(seen, 1, -1):
+                at_least[j] |= at_least[j - 1] & c
+            at_least[1] |= c
             bits ^= low
-        for j, members in enumerate(lev):
-            counts[j] += members.bit_count()
-    return Profile(tuple(counts))
+        for j in range(1, top + 1):
+            reach[j] += at_least[j].bit_count()
+    reach.append(0)
+    return Profile(tuple(reach[m] - reach[m + 1] for m in range(top + 1)))
 
 
 def omega_generic(
@@ -115,8 +112,9 @@ def omega_generic(
     """Ordered-pair sum of an arbitrary pair weight (always the plain loop)."""
     _require_same_ground(fam_a, fam_b)
     total = 0
-    for a in fam_a.members:
-        for b in fam_b.members:
+    bs = fam_b.members
+    for a in fam_a:
+        for b in bs:
             if strict and a.bits == b.bits:
                 continue
             total += weight(a, b)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intersum
-from intersum import cli, search
+from intersum import bounds, cli, search
 from intersum.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -78,7 +78,7 @@ def test_bound_caps_n_before_any_arithmetic(run_cli, monkeypatch):
         raise AssertionError("bound evaluated")
 
     for kind in ("omega_intersecting", "omega_cross", "omega_strict", "ekr"):
-        monkeypatch.setattr(cli, f"{kind}_bound", refuse)
+        monkeypatch.setattr(bounds, f"{kind}_bound", refuse)
     over = cli.MAX_BOUND_GROUND + 1
     for argv in (
         ("family", 200000, 100000),
@@ -412,6 +412,48 @@ def test_cli_import_skips_process_pool(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+ENGINES = ("bounds", "cyclic", "search", "weights")
+
+
+def engines_loaded(tmp_path, argv=None):
+    """The engine modules loaded in a fresh interpreter by `import
+    intersum.cli`, then by running argv if given."""
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, intersum.cli\n"
+        f"argv = {argv!r}\n"
+        "assert argv is None or intersum.cli.main(argv) == 0, argv\n"
+        f"print([m for m in {ENGINES!r} if 'intersum.' + m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]  # after the command's own output
+
+
+def test_each_command_imports_only_its_engine(tmp_path):
+    (tmp_path / "fam.json").write_text(json.dumps(family_to_dict(star(6, 3, 1))))
+    assert engines_loaded(tmp_path) == "[]"
+    assert engines_loaded(tmp_path, ["omega", "family", "fam.json", "--profile"]) == "['weights']"
+    assert engines_loaded(tmp_path, ["verify", "identity", "--n-max", "6"]) == "['bounds']"
+
+
+def test_star_import_binds_every_public_name():
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "from intersum import *\n"
+        "import intersum\n"
+        "print([name for name in intersum.__all__ if name not in globals()])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert len(intersum.__all__) == 67 and "omega_family" in dir(intersum)
+
+
 def test_verify_extremal_strict(run_cli):
     code, out, _ = run_cli("verify", "extremal", 5, 2)
     assert code == EXIT_PASS
@@ -717,5 +759,5 @@ def test_manifest_params_are_parser_dests():
 def test_behaviour_contract_failing_suite(tmp_path, monkeypatch):
     # the exit-1 path of a verify suite that reports FAIL without raising
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "star_identity_check", lambda n, k, l: (n, k, l) != (5, 2, 1))
+    monkeypatch.setattr(bounds, "star_identity_check", lambda n, k, l: (n, k, l) != (5, 2, 1))
     assert contract_digest("verify identity --n-max 6") == "dfdd7396f8267a25"

@@ -2,9 +2,10 @@
 
 import math
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.errors import (
@@ -12,13 +13,16 @@ from intersum.errors import (
     BadSizeError,
     DuplicateSetError,
     GroundMismatchError,
+    IntersumError,
     TooLargeError,
 )
 from intersum.setcore import (
+    MAX_GROUND,
     Family,
     KSet,
     Permutation,
     _canonical_masks,
+    _items,
     apply_perm,
     bits_to_elements,
     canonical_form,
@@ -185,6 +189,137 @@ def test_family_post_init_guards():
         make_family(70, 2, [[1, 2]])
 
 
+def test_family_post_init_rejects_bad_masks():
+    with pytest.raises(BadElementError):
+        Family(4, 2, (-3, 0b0011))
+    with pytest.raises(BadElementError):
+        Family(4, 2, (0b0011, 0b10001))
+    with pytest.raises(ValueError, match="sorted"):
+        Family(4, 2, (0b1100, 0b0011))
+    with pytest.raises(TypeError):
+        Family(4, 2, [0b0011])
+    with pytest.raises(TypeError):
+        Family(4, 1, (True,))
+    with pytest.raises(TypeError):
+        Family(4, 2, (3.0,))
+
+
+def test_family_holds_masks_and_builds_member_views():
+    f = make_family(4, 3, [[2, 3, 4], [1, 2, 3]])
+    assert f.bitmasks == (0b0111, 0b1110)
+    assert f.members == (KSet(4, 0b0111), KSet(4, 0b1110)) == tuple(f)
+    assert len(f) == 2
+    assert repr(f) == "Family(n=4, k=3, members=(KSet(n=4, {1, 2, 3}), KSet(n=4, {2, 3, 4})))"
+    assert repr(Family(4, 3, ())) == "Family(n=4, k=3, members=())"
+
+
+def test_family_contains():
+    f = make_family(5, 2, [[1, 2], [2, 4], [3, 5]])
+    assert kset(5, [2, 4]) in f
+    assert kset(5, [1, 3]) not in f
+    assert kset(5, [4, 5]) not in f  # past the last member
+    assert kset(6, [2, 4]) not in f  # same bits, another ground set
+    assert 0b1010 not in f and (2, 4) not in f
+    assert kset(5, [1, 2]) not in Family(5, 2, ())
+
+
+# --- the bulk parser against the per-element loop ---
+
+
+def oracle_make_family(n, k, sets):
+    """make_family as a plain loop over every set and element."""
+    masks, seen = [], set()
+    for s in _items(sets, "sets"):
+        bits = elements_to_bits(s, n)
+        if bits.bit_count() != k:
+            raise BadSizeError(
+                f"set {sorted(bits_to_elements(bits))} has size {bits.bit_count()}, expected {k}"
+            )
+        if bits in seen:
+            raise DuplicateSetError(f"duplicate set {list(bits_to_elements(bits))}")
+        seen.add(bits)
+        masks.append(bits)
+    return Family.from_bitmasks(n, k, masks)
+
+
+def parse_outcome(parse, n, k, sets):
+    """The family built, or the class and message of the error raised."""
+    try:
+        return parse(n, k, sets)
+    except IntersumError as exc:
+        return type(exc), str(exc)
+
+
+SALT = [True, False, 2.0, "1", [1], None, 0, -1, 2**70]
+
+
+@st.composite
+def raw_families(draw):
+    """(n, k, sets): distinct k-sets in shuffled element order, sometimes
+    salted with bad elements, repeats and wrong lengths."""
+    n = draw(st.integers(1, MAX_GROUND))
+    k = draw(st.integers(1, min(n, 6)))
+    subsets = st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+    chosen = draw(st.lists(subsets, max_size=10, unique=True))
+    sets = [draw(st.permutations(sorted(s))) for s in chosen]
+    for _ in range(draw(st.integers(0, 3)) if sets else 0):
+        i = draw(st.integers(0, len(sets) - 1))
+        kind = draw(st.sampled_from(["salt", "repeat", "long", "short", "copy", "scalar"]))
+        s = sets[i]
+        if type(s) is not list:  # already replaced by a scalar
+            continue
+        if kind == "salt" and s:
+            s[draw(st.integers(0, len(s) - 1))] = draw(st.sampled_from([*SALT, n + 1]))
+        elif kind == "repeat" and s:
+            s[draw(st.integers(0, len(s) - 1))] = s[0]
+        elif kind == "long":
+            s.append(draw(st.integers(1, n)))
+        elif kind == "short" and s:
+            s.pop()
+        elif kind == "copy":
+            sets.insert(draw(st.integers(0, len(sets))), list(s))
+        elif kind == "scalar":
+            sets[i] = draw(st.sampled_from([5, None, "12", {"1": 2}]))
+    if draw(st.booleans()):
+        sets = tuple(map(tuple, sets)) if all(type(s) is list for s in sets) else tuple(sets)
+    return n, k, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_families())
+@example((5, 2, 7))
+@example((5, 2, {"sets": [[1, 2]]}))
+@example((5, 2, None))
+@example((5, 2, []))
+def test_make_family_matches_loop_oracle(case):
+    n, k, sets = case
+    assert parse_outcome(make_family, n, k, sets) == parse_outcome(oracle_make_family, n, k, sets)
+
+
+@pytest.mark.parametrize("salt", [*SALT, 6, "scalar"])
+def test_make_family_salted_error_matches_oracle(salt):
+    n, k = 5, 3
+    sets = [[1, 2, 3], [2, 4, salt], [1, 4, 5]] if salt != "scalar" else [[1, 2, 3], 4]
+    expected = parse_outcome(oracle_make_family, n, k, sets)
+    assert isinstance(expected, tuple)  # every salt is an error
+    assert parse_outcome(make_family, n, k, sets) == expected
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [[1, 2, 3], [1, 2, 3]],  # repeated set
+        [[1, 2, 3], [3, 2, 1]],  # repeated set, other order
+        [[1, 2, 2]],  # repeated element, too few distinct
+        [[1, 2, 3, 3], [1, 4, 5]],  # repeated element, k distinct: accepted
+        [[1, 2]],  # too short
+        [[1, 2, 3, 4]],  # too long
+    ],
+)
+def test_make_family_repeats_and_lengths_match_oracle(sets):
+    assert parse_outcome(make_family, 5, 3, sets) == parse_outcome(oracle_make_family, 5, 3, sets)
+
+
 def test_family_dict_roundtrip():
     f = make_family(5, 2, [[2, 4], [1, 2], [3, 5]])
     d = family_to_dict(f)
@@ -302,6 +437,43 @@ def test_apply_perm_preserves_structure(fam, data):
 def test_element_degrees():
     s = star(5, 2, 1)
     assert element_degrees(s) == (4, 1, 1, 1, 1)
+
+
+def degrees_by_bits(family):
+    """element_degrees as a loop over every member's bits."""
+    degs = [0] * family.n
+    for bits in family.bitmasks:
+        while bits:
+            low = bits & -bits
+            degs[low.bit_length() - 1] += 1
+            bits ^= low
+    return tuple(degs)
+
+
+def test_element_degrees_edge_families():
+    cases = [
+        Family(5, 2, ()),
+        make_family(7, 3, [[2, 5, 7]]),
+        make_family(MAX_GROUND, 2, [[1, MAX_GROUND], [2, MAX_GROUND], [1, 2]]),
+        full_family(MAX_GROUND, 1),
+    ]
+    for fam in cases:
+        assert element_degrees(fam) == degrees_by_bits(fam)
+    assert element_degrees(cases[0]) == (0,) * 5
+    assert element_degrees(cases[2])[-1] == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, MAX_GROUND), st.data())
+def test_element_degrees_matches_bit_loop(n, data):
+    k = data.draw(st.integers(1, n))
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    count = data.draw(st.integers(0, min(40, math.comb(n, k))))
+    masks = set()
+    while len(masks) < count:
+        masks.add(sum(1 << (e - 1) for e in rng.sample(range(1, n + 1), k)))
+    fam = Family.from_bitmasks(n, k, masks)
+    assert element_degrees(fam) == degrees_by_bits(fam)
 
 
 @settings(max_examples=60)

@@ -2,12 +2,13 @@
 
 import math
 from itertools import combinations
+from random import Random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
-from intersum.setcore import full_family, kset, make_family, star
+from intersum.setcore import MAX_GROUND, Family, full_family, kset, make_family, star
 from intersum.weights import (
     Profile,
     intersection_profile,
@@ -163,6 +164,29 @@ def test_intersection_profile_matches_pair_loop(pair):
     assert prof.counts == pair_histogram(fa, fb)
     assert intersection_profile(fb, fa) == prof
     assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, MAX_GROUND), st.data())
+def test_intersection_profile_matches_pair_loop_on_any_ground(n, data):
+    # member bitsets are built by byte lanes of 64-bit words: reach every lane
+    rng = Random(data.draw(st.integers(0, 2**32)))
+
+    def one():
+        k = rng.randint(1, n)
+        masks = set()
+        for _ in range(rng.randint(0, min(30, math.comb(n, k)))):
+            masks.add(sum(1 << (e - 1) for e in rng.sample(range(1, n + 1), k)))
+        return Family.from_bitmasks(n, k, masks)
+
+    fa, fb = one(), one()
+    assert intersection_profile(fa, fb).counts == pair_histogram(fa, fb)
+
+
+def test_intersection_profile_top_element():
+    fa, fb = star(MAX_GROUND, 2, MAX_GROUND), full_family(MAX_GROUND, 1)
+    assert intersection_profile(fa, fb).counts == pair_histogram(fa, fb)
+    assert intersection_profile(fa, fb).counts[1] == 2 * (MAX_GROUND - 1)
 
 
 @settings(max_examples=150)
