@@ -27,18 +27,10 @@ _MODULES = {
         "star_identity_check",
     ),
     "cyclic": (
-        "CyclicPerm",
         "DoubleCountReport",
-        "Interval",
         "KatonaReport",
-        "RepresentablePair",
         "double_count_check",
-        "enumerate_cyclic",
-        "interval_meet_family",
-        "interval_of",
-        "intervals_of_length",
         "katona_verify",
-        "representable_pairs",
     ),
     "errors": (
         "BadElementError",

@@ -1,38 +1,35 @@
-"""Cyclic permutations, intervals, and the double-counting checks built on them.
+"""Katona's cycle method: cycle orders, their windows, and the sweeps over them.
 
-A cyclic permutation of {1..n} is stored as the tuple of elements in cycle
-order, rotated so element 1 sits at position 0.  Rotations are therefore
-identified, reflections are not, and there are exactly (n-1)! distinct
-objects, which enumerate_cyclic walks in a fixed order.
+A cycle order of {1..n} is the tuple of element bits (element e is bit e-1)
+in cyclic order, rotated so element 1 comes first.  Rotations are thereby
+identified and reflections are not, so there are (n-1)! orders; _orders
+yields them with the identity order first.  The length-t window at position s
+is the union of the bits at positions s, s+1, ..., s+t-1 (mod n), and
+_windows reads all n of them off prefix sums.  For 1 <= t < n a window has
+exactly one start, so windows are the intervals of the order.
 
-A length-t interval is t cyclically consecutive positions; it is *oriented*:
-it knows its left (first) and right (last) endpoint.  An ordered pair (A, B)
-of an interval of fam_a and an interval of fam_b is *representable* when
-A ∩ B is a nonempty interval whose right endpoint is A's right endpoint and
-whose left endpoint is B's left endpoint.  Counting representable pairs in
-two ways, per pair across all cyclic permutations and per permutation across
-pairs, is the engine behind double_count_check.
+An ordered pair (A, B) of a k-set and an l-set with |A ∩ B| = m >= 1 is
+*representable* in an order when A is the k-window at some position s and B
+the l-window at s + k - m: their meet is then the m-window at s + k - m,
+which ends where A ends and starts where B starts.  katona_verify checks
+that at most k of an order's n k-windows pairwise meet (n >= 2k), and that
+for n > 2k every maximum shares an element.  double_count_check counts the
+representable pairs two ways: per pair across all orders, and per order
+across pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial
 from operator import sub
 from typing import Iterator, Sequence
 
-from .errors import (
-    BadElementError,
-    BadLengthError,
-    GroundMismatchError,
-    HypothesisError,
-    TooLargeError,
-)
+from .errors import HypothesisError, TooLargeError
 from .setcore import (
     MAX_SWEEP_GROUND,
     Family,
-    KSet,
     _is_int,
     _require_same_ground,
     is_cross_intersecting,
@@ -41,214 +38,6 @@ from .setcore import (
 # All-permutation sweeps are capped at MAX_SWEEP_GROUND, defined in setcore.
 # Single-permutation interval analysis only needs the 2^n subset walk.
 MAX_SINGLE_GROUND = 16
-MAX_ENUM_GROUND = 10
-
-
-@dataclass(frozen=True)
-class CyclicPerm:
-    """Elements of {1..n} in cycle order, anchored so order[0] == 1."""
-
-    n: int
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise BadLengthError(f"cyclic permutations need n >= 2, got {self.n}")
-        if sorted(self.order) != list(range(1, self.n + 1)):
-            raise BadElementError(f"order {self.order!r} is not an arrangement of 1..{self.n}")
-        if self.order[0] != 1:
-            raise BadElementError("cycle order must be rotated so element 1 is first")
-
-    @classmethod
-    def identity(cls, n: int) -> "CyclicPerm":
-        return cls(n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[int]) -> "CyclicPerm":
-        """Accept any rotation of a cycle and anchor it at element 1."""
-        seq = tuple(seq)
-        if 1 not in seq:
-            raise BadElementError(f"sequence {seq!r} does not contain element 1")
-        i = seq.index(1)
-        return cls(len(seq), seq[i:] + seq[:i])
-
-    @cached_property
-    def _positions(self) -> tuple[int, ...]:
-        pos = [0] * self.n
-        for i, e in enumerate(self.order):
-            pos[e - 1] = i
-        return tuple(pos)
-
-    def position_of(self, element: int) -> int:
-        if not 1 <= element <= self.n:
-            raise BadElementError(f"element {element} outside ground set 1..{self.n}")
-        return self._positions[element - 1]
-
-    def element_at(self, position: int) -> int:
-        return self.order[position % self.n]
-
-
-def enumerate_cyclic(n: int) -> Iterator[CyclicPerm]:
-    """All (n-1)! cyclic permutations of {1..n}, reflections distinct."""
-    if n < 2:
-        raise BadLengthError(f"cyclic permutations need n >= 2, got {n}")
-    if n > MAX_ENUM_GROUND:
-        raise TooLargeError(f"enumerate_cyclic is limited to n <= {MAX_ENUM_GROUND}, got {n}")
-    return (CyclicPerm(n, (1,) + rest) for rest in permutations(range(2, n + 1)))
-
-
-@dataclass(frozen=True)
-class Interval:
-    """length cyclically consecutive positions of perm, starting at start."""
-
-    perm: CyclicPerm
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.length < self.perm.n:
-            raise BadLengthError(
-                f"interval length {self.length} out of range 1..{self.perm.n - 1}"
-            )
-        if not 0 <= self.start < self.perm.n:
-            raise ValueError(f"start position {self.start} out of range 0..{self.perm.n - 1}")
-
-    @property
-    def left(self) -> int:
-        return self.perm.element_at(self.start)
-
-    @property
-    def right(self) -> int:
-        return self.perm.element_at(self.start + self.length - 1)
-
-    @cached_property
-    def bits(self) -> int:
-        b = 0
-        for j in range(self.length):
-            b |= 1 << (self.perm.element_at(self.start + j) - 1)
-        return b
-
-    def as_kset(self) -> KSet:
-        return KSet(self.perm.n, self.bits)
-
-    def elements(self) -> tuple[int, ...]:
-        """Elements in cycle order, left endpoint first."""
-        return tuple(self.perm.element_at(self.start + j) for j in range(self.length))
-
-
-def intervals_of_length(perm: CyclicPerm, length: int) -> tuple[Interval, ...]:
-    """The n intervals of the given length, one per start position."""
-    if not 1 <= length < perm.n:
-        raise BadLengthError(f"interval length {length} out of range 1..{perm.n - 1}")
-    return tuple(Interval(perm, s, length) for s in range(perm.n))
-
-
-def _position_mask(bits: int, pos: Sequence[int]) -> int:
-    p = 0
-    while bits:
-        low = bits & -bits
-        p |= 1 << pos[low.bit_length() - 1]
-        bits ^= low
-    return p
-
-
-def _arc_start(posmask: int, n: int) -> int | None:
-    """Start position if posmask is one nonempty arc shorter than the full
-    cycle, else None."""
-    if posmask == 0 or posmask == (1 << n) - 1:
-        return None
-    full = (1 << n) - 1
-    rot = ((posmask << 1) | (posmask >> (n - 1))) & full
-    starts = posmask & ~rot
-    if starts & (starts - 1):
-        return None
-    return starts.bit_length() - 1
-
-
-def interval_of(perm: CyclicPerm, s: KSet) -> Interval | None:
-    """The oriented interval equal to s as a set, or None."""
-    if s.n != perm.n:
-        raise GroundMismatchError(f"set on ground 1..{s.n}, permutation on 1..{perm.n}")
-    t = s.size
-    if not 1 <= t < perm.n:
-        return None
-    start = _arc_start(_position_mask(s.bits, perm._positions), perm.n)
-    if start is None:
-        return None
-    return Interval(perm, start, t)
-
-
-@dataclass(frozen=True)
-class RepresentablePair:
-    """An ordered interval pair whose meet hangs off A's right and B's left end."""
-
-    a: KSet
-    b: KSet
-    meet: KSet
-    perm: CyclicPerm
-
-
-def representable_pairs(
-    perm: CyclicPerm, fam_a: Family, fam_b: Family
-) -> tuple[RepresentablePair, ...]:
-    """All representable ordered pairs (A, B) with A in fam_a, B in fam_b.
-
-    Members that are not intervals of perm cannot participate.  Order is
-    fam_a-major with members in bitmask order.
-    """
-    _require_same_ground(fam_a, fam_b)
-    if fam_a.n != perm.n:
-        raise GroundMismatchError(f"families on 1..{fam_a.n}, permutation on 1..{perm.n}")
-    n = perm.n
-    pos = perm._positions
-    out = []
-    a_info = [(ks, _arc_info(ks.bits, pos, n)) for ks in fam_a.members]
-    b_info = [(ks, _arc_info(ks.bits, pos, n)) for ks in fam_b.members]
-    for a_ks, a_arc in a_info:
-        if a_arc is None:
-            continue
-        pa, sa = a_arc
-        a_right = (sa + fam_a.k - 1) % n
-        for b_ks, b_arc in b_info:
-            if b_arc is None:
-                continue
-            pb, sb = b_arc
-            pm = pa & pb
-            if pm == 0:
-                continue
-            sm = _arc_start(pm, n)
-            if sm is None:
-                continue
-            tm = pm.bit_count()
-            if sm != sb or (sm + tm - 1) % n != a_right:
-                continue
-            out.append(
-                RepresentablePair(a_ks, b_ks, KSet(n, a_ks.bits & b_ks.bits), perm)
-            )
-    return tuple(out)
-
-
-def _arc_info(bits: int, pos: Sequence[int], n: int) -> tuple[int, int] | None:
-    """(position mask, start) when bits is an interval of the permutation."""
-    pm = _position_mask(bits, pos)
-    start = _arc_start(pm, n)
-    if start is None:
-        return None
-    return pm, start
-
-
-def interval_meet_family(
-    perm: CyclicPerm, fam_a: Family, fam_b: Family, m: int
-) -> Family:
-    """The distinct meets of size m arising from representable pairs."""
-    if not 1 <= m <= min(fam_a.k, fam_b.k):
-        raise BadLengthError(f"meet size {m} out of range 1..{min(fam_a.k, fam_b.k)}")
-    meets = {
-        rp.meet.bits
-        for rp in representable_pairs(perm, fam_a, fam_b)
-        if rp.meet.size == m
-    }
-    return Family.from_bitmasks(perm.n, m, meets)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +57,8 @@ def _windows(order_bits: Sequence[int], t: int) -> list[int]:
 
 
 def _orders(n: int) -> Iterator[tuple[int, ...]]:
-    """Element bits of every cycle order, in enumerate_cyclic order; the
-    identity order comes first."""
+    """Element bits of every cycle order: element 1, then each arrangement of
+    2..n in itertools.permutations order, so the identity order comes first."""
     for rest in permutations([1 << x for x in range(1, n)]):
         yield (1, *rest)
 

@@ -51,7 +51,6 @@ from .setcore import (
     _check_ground,
     _check_member_size,
     _is_int,
-    canonical_form,
     family_to_dict,
     is_star,
     ksubset_masks,
@@ -162,22 +161,18 @@ def _meeting(by_elem: list[int], xs: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_classes(n: int, k: int, index_sets, universe) -> tuple[Family, ...]:
-    """Collapse raw optimal families to their distinct canonical forms, one
-    per relabelling class, in ascending bitmask order."""
-    by_key = {}
-    for idxs in index_sets:
-        c = canonical_form(Family.from_bitmasks(n, k, [universe[i] for i in idxs]))
-        by_key[c.bitmasks] = c
-    return tuple(by_key[key] for key in sorted(by_key))
+def _witness_classes(n: int, sizes: tuple[int, ...], raw) -> tuple[tuple[Family, ...], ...]:
+    """Collapse raw optimal winners to their distinct relabelling classes.
 
-
-def _pair_classes(n: int, k: int, l: int, raw_pairs) -> tuple:
-    """Same collapse for ordered (A, B) pairs, relabelled jointly."""
-    keys = {_canonical_masks(n, [fa.bitmasks, fb.bitmasks]) for fa, fb in raw_pairs}
+    Each winner is one member-mask list per family, with member sizes sizes;
+    the families of a winner are relabelled jointly.  Classes come in
+    ascending order of their canonical masks, and families are built only for
+    the distinct ones.
+    """
+    keys = {_canonical_masks(n, colours) for colours in raw}
     return tuple(
-        (Family.from_bitmasks(n, k, ma), Family.from_bitmasks(n, l, mb))
-        for ma, mb in sorted(keys)
+        tuple(Family.from_bitmasks(n, k, masks) for k, masks in zip(sizes, key))
+        for key in sorted(keys)
     )
 
 
@@ -284,8 +279,8 @@ def max_omega_intersecting(
     expand(0, full)
     # The star on element 1 is shifted and reached unpruned at the seed
     # value, so at least one winner is always recorded.
-    winners = [idxs for val, idxs in raw if val == best]
-    witnesses = _family_classes(n, k, winners, universe)
+    winners = [([universe[i] for i in idxs],) for val, idxs in raw if val == best]
+    witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
     if best > bound:
         raise CounterexampleError(
             f"exact search found {best} above the proved bound {bound} at (n,k)=({n},{k})",
@@ -352,12 +347,13 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
         maximal = (compat & ~sub) == 0 and sub != 0
         if not maximal:
             continue
+        masks = [universe[i] for i in members]
         if val > best:
-            best, winners = val, [tuple(members)]
+            best, winners = val, [(masks,)]
         else:
-            winners.append(tuple(members))
+            winners.append((masks,))
     bound = omega_intersecting_bound(n, k).value
-    witnesses = _family_classes(n, k, winners, universe)
+    witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     return SearchResult(
         config=(n, k),
@@ -454,15 +450,12 @@ def max_omega_cross(
     sweep(0, full_b, 0, [e.bit_count() for e in b_by_elem])
     # The star pair is closed (each side is the other's maximal partner) for
     # n >= k + l, so its leaf is visited and the seed value is recorded.
-    winners = [(a, b) for val, a, b in raw if val == best]
-    raw_pairs = [
-        (
-            Family.from_bitmasks(n, k, [ua[i] for i in a]),
-            Family.from_bitmasks(n, l, [ub_masks[j] for j in _bits_list(b)]),
-        )
-        for a, b in winners
+    winners = [
+        ([ua[i] for i in a], [ub_masks[j] for j in _bits_list(b)])
+        for val, a, b in raw
+        if val == best
     ]
-    witnesses = _pair_classes(n, k, l, raw_pairs)
+    witnesses = _witness_classes(n, (k, l), winners)
     if best > bound:
         raise CounterexampleError(
             f"exact cross search found {best} above the proved bound {bound}"
@@ -899,10 +892,10 @@ def _interval_patterns(n: int, families: list[Family]) -> bool:
     are intervals are exactly the intervals through one position, the same
     position for every family (the family's center in that order).
 
-    Orders are plain tuples of element bits with element 1 first, in the
-    order of cyclic.enumerate_cyclic, and their intervals are the windows of
-    cyclic._windows.  For each family of k-sets, end_of maps the bitset of
-    start positions of the length-k intervals through position p to p.
+    Orders are the plain tuples of element bits of cyclic._orders, element 1
+    first, and their intervals are the windows of cyclic._windows.  For each
+    family of k-sets, end_of maps the bitset of start positions of the
+    length-k intervals through position p to p.
     """
     checks = [
         (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})

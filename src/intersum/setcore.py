@@ -20,6 +20,7 @@ from .errors import (
     BadSizeError,
     DuplicateSetError,
     GroundMismatchError,
+    IntersumError,
     TooLargeError,
 )
 
@@ -200,21 +201,24 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
     _check_ground(n)
     _check_member_size(n, k)
     masks = _bulk_masks(n, k, sets)
-    if masks is None:
-        masks = _checked_masks(n, k, sets)
-    return Family.from_bitmasks(n, k, masks)
+    if masks is not None:
+        try:
+            return Family.from_bitmasks(n, k, masks)
+        except IntersumError:
+            pass  # a repeated element or set; find the first error in input order
+    return Family.from_bitmasks(n, k, _checked_masks(n, k, sets))
 
 
 _BIT = tuple(1 << (e - 1) if e else 0 for e in range(MAX_GROUND + 1))  # _BIT[e] is e's bit
 
 
 def _bulk_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int] | None:
-    """The masks of a list of k-element lists that passes every check at
-    once, or None when any check fails and the first error must be found.
+    """The masks of a list of k-element lists of ints in 1..n, tested at once,
+    or None when any test fails and the first error must be found.
 
-    Elements are exact ints in 1..n, so each mask is a sum of table bits; a
-    repeated element carries, so the sum has popcount k only when all k
-    elements are distinct.
+    Each mask is a sum of table bits.  A repeated element carries, so its
+    mask has popcount below k, and Family rejects it as it rejects a repeated
+    set; neither is tested here.
     """
     if type(sets) not in (list, tuple) or not sets:
         return None
@@ -227,10 +231,7 @@ def _bulk_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int] | No
     if min(values) < 1 or max(values) > n:
         return None
     bits = map(_BIT.__getitem__, elements)
-    masks = list(map(sum, zip(*[bits] * k)))  # each set is k consecutive elements
-    if set(map(int.bit_count, masks)) != {k} or len(set(masks)) != len(masks):
-        return None
-    return masks
+    return list(map(sum, zip(*[bits] * k)))  # each set is k consecutive elements
 
 
 def _checked_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int]:

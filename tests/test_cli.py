@@ -451,7 +451,18 @@ def test_star_import_binds_every_public_name():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-    assert len(intersum.__all__) == 67 and "omega_family" in dir(intersum)
+    assert len(intersum.__all__) == 59 and "omega_family" in dir(intersum)
+    retired = {
+        "CyclicPerm",
+        "Interval",
+        "RepresentablePair",
+        "enumerate_cyclic",
+        "interval_meet_family",
+        "interval_of",
+        "intervals_of_length",
+        "representable_pairs",
+    }
+    assert retired.isdisjoint(dir(intersum))
 
 
 def test_verify_extremal_strict(run_cli):

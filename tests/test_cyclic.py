@@ -1,7 +1,7 @@
-"""Cyclic permutations, arcs, the interval maximum sweep, and pair double counting."""
+"""The interval maximum sweep and pair double counting over cycle orders."""
 
 import math
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,132 +9,13 @@ from hypothesis import strategies as st
 
 from intersum.bounds import pm_star_count
 from intersum.cyclic import (
-    CyclicPerm,
     DoubleCountReport,
-    Interval,
     KatonaReport,
-    _arc_info,
-    _arc_start,
     double_count_check,
-    enumerate_cyclic,
-    interval_meet_family,
-    interval_of,
-    intervals_of_length,
     katona_verify,
-    representable_pairs,
 )
-from intersum.errors import (
-    BadElementError,
-    BadLengthError,
-    GroundMismatchError,
-    HypothesisError,
-    TooLargeError,
-)
-from intersum.setcore import Family, is_cross_intersecting, kset, make_family, star
-
-
-@st.composite
-def cyclic_perms(draw, max_n=8):
-    n = draw(st.integers(2, max_n))
-    rest = draw(st.permutations(list(range(2, n + 1))))
-    return CyclicPerm(n, (1,) + tuple(rest))
-
-
-# --- CyclicPerm ---
-
-
-def test_cyclic_perm_validation():
-    CyclicPerm(4, (1, 3, 2, 4))
-    with pytest.raises(BadElementError):
-        CyclicPerm(4, (2, 1, 3, 4))  # must be anchored at 1
-    with pytest.raises(BadElementError):
-        CyclicPerm(4, (1, 2, 3))
-    with pytest.raises(BadLengthError):
-        CyclicPerm(1, (1,))
-
-
-def test_enumerate_cyclic_counts():
-    for n in range(2, 7):
-        perms = list(enumerate_cyclic(n))
-        assert len(perms) == math.factorial(n - 1)
-        assert len(set(perms)) == len(perms)
-        assert all(p.order[0] == 1 for p in perms)
-    with pytest.raises(TooLargeError):
-        next(enumerate_cyclic(11))
-
-
-@settings(max_examples=50)
-@given(cyclic_perms())
-def test_position_element_inverse(perm):
-    for e in range(1, perm.n + 1):
-        assert perm.element_at(perm.position_of(e)) == e
-
-
-# --- intervals ---
-
-
-def test_interval_endpoints_and_wraparound():
-    ident = CyclicPerm.identity(5)
-    arc = Interval(ident, 3, 3)  # positions 3,4,0 -> elements 4,5,1
-    assert arc.left == 4 and arc.right == 1
-    assert set(arc.elements()) == {4, 5, 1}
-    assert arc.as_kset() == kset(5, [1, 4, 5])
-
-
-def test_intervals_of_length():
-    ident = CyclicPerm.identity(6)
-    arcs = intervals_of_length(ident, 2)
-    assert len(arcs) == 6
-    assert {frozenset(a.elements()) for a in arcs} == {
-        frozenset(s) for s in ([1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1])
-    }
-    with pytest.raises(BadLengthError):
-        intervals_of_length(ident, 6)  # full circle is not an arc
-
-
-def test_interval_of_roundtrip():
-    ident = CyclicPerm.identity(5)
-    arc = interval_of(ident, kset(5, [4, 5, 1]))
-    assert arc is not None
-    assert arc.start == 3 and arc.length == 3
-    assert arc.left == 4 and arc.right == 1
-    assert interval_of(ident, kset(5, [2, 4])) is None
-
-
-@settings(max_examples=40)
-@given(cyclic_perms(max_n=7), st.data())
-def test_interval_of_detects_every_arc(perm, data):
-    length = data.draw(st.integers(1, perm.n - 1))
-    start = data.draw(st.integers(0, perm.n - 1))
-    arc = Interval(perm, start, length)
-    found = interval_of(perm, arc.as_kset())
-    assert found is not None
-    assert found.bits == arc.bits
-    assert (found.start, found.length) == (start, length)
-
-
-# --- representable pairs ---
-
-
-def test_representable_pairs_star_example():
-    ident = CyclicPerm.identity(5)
-    s = star(5, 2, 1)
-    pairs = representable_pairs(ident, s, s)
-    assert len(pairs) == 3
-    for p in pairs:
-        assert interval_of(ident, p.a) is not None
-        assert interval_of(ident, p.b) is not None
-        assert p.meet.bits == p.a.bits & p.b.bits
-    seen = {(tuple(p.a.elements()), tuple(p.b.elements())) for p in pairs}
-    assert len(seen) == 3
-
-
-def test_interval_meet_family():
-    ident = CyclicPerm.identity(5)
-    s = star(5, 2, 1)
-    fam = interval_meet_family(ident, s, s, 1)
-    assert fam.k == 1
-    assert fam.bitmasks == (1,)  # the only size-1 meet among arcs through 1
+from intersum.errors import GroundMismatchError, HypothesisError, TooLargeError
+from intersum.setcore import Family, is_cross_intersecting, make_family, star
 
 
 # --- Katona sweep ---
@@ -232,28 +113,40 @@ def test_double_count_non_star_inputs_still_count():
     assert rep.ok
 
 
-# --- oracles: per-pair arc tests and Interval objects, one order at a time ---
+# --- oracles: cycle orders as plain element tuples, arcs read off one by one ---
 
 
-def oracle_dc_chunk(n, k, pairs, m):
-    """Per-pair census over all orders by testing each pair for being arcs."""
+def cycle_orders(n):
+    """Every cycle order of 1..n as an element tuple with 1 first; the
+    identity order comes first."""
+    return [(1, *rest) for rest in permutations(range(2, n + 1))]
+
+
+def arc(order, s, t):
+    """Bitmask of the t elements of order at positions s, s+1, ... (mod n)."""
+    return sum(1 << (order[(s + j) % len(order)] - 1) for j in range(t))
+
+
+def arc_starts(order, t):
+    """Each length-t arc of order (1 <= t < n), mapped to its start position."""
+    return {arc(order, s, t): s for s in range(len(order))}
+
+
+def oracle_dc_chunk(n, k, l, pairs, m):
+    """Per-pair census over all orders: (A, B) counts in an order when A, B
+    and A ∩ B are arcs, the meet starting where B starts and ending where A
+    ends."""
     per_pair = [0] * len(pairs)
     meets_distinct = True
     meet_counts = []
-    for rest in permutations(range(2, n + 1)):
-        pos = [0] * n
-        for i, e in enumerate((1,) + rest):
-            pos[e - 1] = i
+    for order in cycle_orders(n):
+        starts_a, starts_b, starts_m = (arc_starts(order, t) for t in (k, l, m))
         seen_meets = set()
         hits = 0
         for idx, (abits, bbits) in enumerate(pairs):
-            a_arc = _arc_info(abits, pos, n)
-            b_arc = _arc_info(bbits, pos, n)
-            if a_arc is None or b_arc is None:
-                continue
-            (pa, sa), (pb, sb) = a_arc, b_arc
-            sm = _arc_start(pa & pb, n)
-            if sm is None or sm != sb or (sm + m - 1) % n != (sa + k - 1) % n:
+            sa, sb = starts_a.get(abits), starts_b.get(bbits)
+            sm = starts_m.get(abits & bbits)
+            if None in (sa, sb, sm) or sm != sb or (sm + m - 1) % n != (sa + k - 1) % n:
                 continue
             per_pair[idx] += 1
             hits += 1
@@ -269,7 +162,7 @@ def oracle_dc_chunk(n, k, pairs, m):
 def oracle_double_count(fam_a, fam_b, m):
     n, k, l = fam_a.n, fam_a.k, fam_b.k
     pairs = [(a, b) for a in fam_a.bitmasks for b in fam_b.bitmasks if (a & b).bit_count() == m]
-    per_pair, meets_distinct, meet_counts = oracle_dc_chunk(n, k, pairs, m)
+    per_pair, meets_distinct, meet_counts = oracle_dc_chunk(n, k, l, pairs, m)
     check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
     bound_ok = all(c <= m for c in meet_counts)
     if n - k - l + m >= 0:
@@ -326,13 +219,13 @@ def oracle_max_intersecting(masks):
     return best, maxima
 
 
-def oracle_sweep_one_perm(perm, k):
-    """(max size, maximum index subsets, all maxima share an element) for perm."""
-    masks = [iv.bits for iv in intervals_of_length(perm, k)]
+def oracle_sweep_one_order(order, k):
+    """(max size, maximum index subsets, all maxima share an element) for order."""
+    masks = [arc(order, s, k) for s in range(len(order))]
     best, maxima = oracle_max_intersecting(masks)
     all_fixed = True
     for sub in maxima:
-        common = (1 << perm.n) - 1
+        common = (1 << len(order)) - 1
         s = sub
         while s:
             low = s & -s
@@ -345,18 +238,18 @@ def oracle_sweep_one_perm(perm, k):
 
 
 def oracle_katona(n, k, all_perms):
-    ident = CyclicPerm.identity(n)
-    best, maxima, all_fixed = oracle_sweep_one_perm(ident, k)
+    ident, *others = cycle_orders(n)
+    best, maxima, all_fixed = oracle_sweep_one_order(ident, k)
     counts = {len(maxima)}
     perms_checked = 1
     if all_perms:
-        for perm in islice(enumerate_cyclic(n), 1, None):
-            b, subs, fixed = oracle_sweep_one_perm(perm, k)
+        for order in others:
+            b, subs, fixed = oracle_sweep_one_order(order, k)
             best = max(best, b)
             counts.add(len(subs))
             all_fixed = all_fixed and fixed
             perms_checked += 1
-    masks = [iv.bits for iv in intervals_of_length(ident, k)]
+    masks = [arc(ident, s, k) for s in range(n)]
     examples = tuple(
         Family.from_bitmasks(n, k, [masks[i] for i in range(n) if sub >> i & 1])
         for sub in maxima

@@ -4,14 +4,13 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
-from intersum.cyclic import enumerate_cyclic, intervals_of_length
 from intersum.errors import (
     BadSizeError,
     CounterexampleError,
@@ -24,9 +23,8 @@ from intersum import search
 from intersum.search import (
     HeuristicConfig,
     SearchResult,
-    _family_classes,
     _interval_patterns,
-    _pair_classes,
+    _witness_classes,
     heuristic_max,
     max_omega_cross,
     max_omega_intersecting,
@@ -54,14 +52,14 @@ TRIANGLES = make_family(11, 2, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
 
 def test_family_classes_keep_equal_fingerprints_apart():
     assert fingerprint(HEXAGON) == fingerprint(TRIANGLES)
-    universe = ksubset_masks(11, 2)
-    index_sets = [[universe.index(m) for m in f.bitmasks] for f in (HEXAGON, TRIANGLES)]
-    assert len(_family_classes(11, 2, index_sets, universe)) == 2
+    raw = [(list(f.bitmasks),) for f in (HEXAGON, TRIANGLES)]
+    assert len(_witness_classes(11, (2,), raw)) == 2
 
 
 def test_pair_classes_keep_equal_fingerprints_apart():
     point = make_family(11, 1, [[11]])
-    classes = _pair_classes(11, 2, 1, [(HEXAGON, point), (TRIANGLES, point)])
+    raw = [(list(f.bitmasks), list(point.bitmasks)) for f in (HEXAGON, TRIANGLES)]
+    classes = _witness_classes(11, (2, 1), raw)
     assert len(classes) == 2
 
 
@@ -242,9 +240,9 @@ def _bits(mask):
 
 
 def cross_oracle(n, k, l):
-    """Best total and raw optimal pairs, by walking every subset A of the
-    k-universe, pairing it with all l-sets that meet every member of A, and
-    keeping the pairs that are maximal on both sides."""
+    """Best total and raw optimal pairs as member-mask lists, by walking every
+    subset A of the k-universe, pairing it with all l-sets that meet every
+    member of A, and keeping the pairs that are maximal on both sides."""
     ua, ub = ksubset_masks(n, k), ksubset_masks(n, l)
     meets_a = [sum(1 << j for j, b in enumerate(ub) if a & b) for a in ua]
     meets_b = [sum(1 << i for i, a in enumerate(ua) if a & b) for b in ub]
@@ -267,9 +265,7 @@ def cross_oracle(n, k, l):
             best, winners = val, []
         if val == best:
             winners.append((fa, fb))
-    return best, [
-        (Family.from_bitmasks(n, k, fa), Family.from_bitmasks(n, l, fb)) for fa, fb in winners
-    ]
+    return best, winners
 
 
 ORACLE_CROSS = [
@@ -297,7 +293,7 @@ def test_cross_matches_oracle(n, k, l):
         assert r.best_value == best
         found = r.witnesses
     got = [(a.bitmasks, b.bitmasks) for a, b in found]
-    want = [(a.bitmasks, b.bitmasks) for a, b in _pair_classes(n, k, l, winners)]
+    want = [(a.bitmasks, b.bitmasks) for a, b in _witness_classes(n, (k, l), winners)]
     assert got == want
 
 
@@ -408,27 +404,36 @@ def test_uniqueness_boundary_regime():
     assert flags == [(None, True), (1, True)]
 
 
-def pattern_centers(perm, family):
-    """Elements x whose length-k intervals are exactly the members of family
-    that are intervals of perm, read off CyclicPerm and Interval objects."""
-    k, n = family.k, perm.n
+def cycle_orders(n):
+    """Every cycle order of 1..n as an element tuple with 1 first."""
+    return [(1, *rest) for rest in permutations(range(2, n + 1))]
+
+
+def pattern_centers(order, family):
+    """Elements x whose length-k arcs are exactly the members of family that
+    are arcs of order; the arc at position s holds the k elements from s on."""
+    k, n = family.k, len(order)
     member_bits = set(family.bitmasks)
-    present = {iv.start for iv in intervals_of_length(perm, k) if iv.bits in member_bits}
+    present = {
+        s
+        for s in range(n)
+        if sum(1 << (order[(s + j) % n] - 1) for j in range(k)) in member_bits
+    }
     return {
         x
         for x in range(1, n + 1)
-        if {(perm.position_of(x) - j) % n for j in range(k)} == present
+        if {(order.index(x) - j) % n for j in range(k)} == present
     }
 
 
 def pattern_family_oracle(family):
-    return all(pattern_centers(perm, family) for perm in enumerate_cyclic(family.n))
+    return all(pattern_centers(order, family) for order in cycle_orders(family.n))
 
 
 def pattern_pair_oracle(fa, fb):
     return all(
-        pattern_centers(perm, fa) & pattern_centers(perm, fb)
-        for perm in enumerate_cyclic(fa.n)
+        pattern_centers(order, fa) & pattern_centers(order, fb)
+        for order in cycle_orders(fa.n)
     )
 
 
