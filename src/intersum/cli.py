@@ -25,9 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from importlib import resources
 from math import comb
-from pathlib import Path
 
 # The engines (bounds, cyclic, search, weights) are called through the
 # package, whose __getattr__ imports a module on first use of one of its
@@ -98,13 +96,16 @@ class RunManifest:
 
 def report_schema() -> dict:
     """The shipped JSON schema that every --json report validates against."""
+    from importlib import resources  # only here: it costs every run's start-up
+
     text = resources.files("intersum").joinpath("schema/report.schema.json").read_text()
     return json.loads(text)
 
 
 def _load_family(path: str) -> Family:
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliUsageError(f"cannot read {path}: {exc}") from exc
     try:
@@ -133,7 +134,8 @@ def _emit(args, manifest: RunManifest, result: dict, text_lines: list[str]) -> N
         payload = "".join(line + "\n" for line in text_lines)
     if args.out:
         try:
-            Path(args.out).write_text(payload)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
         except OSError as exc:
             raise _CliUsageError(f"cannot write {args.out}: {exc}") from exc
     else:

@@ -9,14 +9,17 @@ a (d(i) - d(j)) + a^2 when it moves a >= 1 members, so an optimal family,
 relabelled by decreasing degree, is a down-set of the componentwise order.
 The search decides the k-sets in ascending mask order (a linear extension of
 that order) and only ever holds such down-sets.  The cross search sweeps
-the subsets A of the k-side that hold {1..k}, each paired with every l-set
-meeting all of A; any optimal pair relabels to one of these.  Pruning is
-strict (ub < incumbent), so ties survive and every optimal class is
-collected.  Both bounds are the paper's double count over element degrees,
-not pair sums, so a node costs O(n) big-int operations: the intersecting
-bound is r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and
-the cross bound is val + sum_x suffix[i][x] d_B(x).  A budget caps C(n, k)
-(and C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
+the l-side, never the larger one: the subsets B of the l-sets that hold
+{1..l}, each paired with every k-set meeting all of B; any optimal pair
+relabels to one of these.  Pruning is strict (ub < incumbent), so ties
+survive and every optimal class is collected.  Both bounds are the paper's
+double count over element degrees, not pair sums, so a node costs O(n)
+big-int operations: the intersecting bound is
+r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and the cross
+bound is val + sum_x suffix[i][x] d_A(x), suffix counting the l-sets still to
+be decided.  Tied winners are relabelled by degree order before they are
+canonicalised, so each distinct one is canonicalised once.  A budget caps
+C(n, k) (and C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
 
 The heuristic is plain simulated annealing over families, restarted from
 empty, with a greedy completion pass so short runs still land on maximal
@@ -161,15 +164,37 @@ def _meeting(by_elem: list[int], xs: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _degree_sorted(n: int, colours) -> tuple[tuple[int, ...], ...]:
+    """Relabel nonempty member-mask lists jointly so that elements come in
+    descending order of their degree vectors (d_F(x) for each list F in
+    turn), ties in element order; each list comes back as a sorted mask tuple.
+
+    Works on binary digit strings: digit j of a mask is element n - 1 - j, so
+    a list's digit columns hold its degrees, and reading the columns back in
+    the new order spells the relabelled masks.
+    """
+    fmt = f"0{n}b"
+    grids = [list(zip(*[format(m, fmt) for m in masks])) for masks in colours]
+    # ascending degree vectors go to the high digits, ties by digit
+    order = sorted(range(n), key=lambda j: [g[j].count("1") for g in grids])
+    return tuple(
+        tuple(sorted(int("".join(digits), 2) for digits in zip(*[g[j] for j in order])))
+        for g in grids
+    )
+
+
 def _witness_classes(n: int, sizes: tuple[int, ...], raw) -> tuple[tuple[Family, ...], ...]:
     """Collapse raw optimal winners to their distinct relabelling classes.
 
     Each winner is one member-mask list per family, with member sizes sizes;
-    the families of a winner are relabelled jointly.  Classes come in
-    ascending order of their canonical masks, and families are built only for
-    the distinct ones.
+    the families of a winner are relabelled jointly.  Tied winners are mostly
+    relabellings of one another, so each is first relabelled by degree order
+    (_degree_sorted) and only the distinct results are canonicalised: a
+    relabelling keeps the class, and the canonical form still decides
+    equality.  Classes come in ascending order of their canonical masks, and
+    families are built only for the distinct ones.
     """
-    keys = {_canonical_masks(n, colours) for colours in raw}
+    keys = {_canonical_masks(n, colours) for colours in {_degree_sorted(n, c) for c in raw}}
     return tuple(
         tuple(Family.from_bitmasks(n, k, masks) for k, masks in zip(sizes, key))
         for key in sorted(keys)
@@ -376,17 +401,20 @@ def max_omega_cross(
 ) -> SearchResult:
     """Exact maximum of the ordered-pair total over cross-intersecting pairs.
 
-    Sweeps the subsets A of the k-side that hold ua[0] = {1..k}; the best
-    partner for a fixed A is the family of all compatible l-sets, so only
-    those pairs are scored.  Rooting loses no class: an optimal pair has A
-    nonempty, a relabelling moves one member of A onto {1..k}, and the
-    relabelled B is again every l-set meeting all of A (an l-set left out
-    would add its meets with A), so the sweep scores that pair.
+    Sweeps the subsets B of the l-sets, the swept side, that hold
+    swept[0] = {1..l}; the best partner for a fixed B is the family A of all
+    k-sets meeting every member of B, so only those pairs are scored.  The
+    swept side is never the larger one: l <= k and n >= k + l give
+    C(n, l) <= C(n, k).  Rooting loses no class: an optimal pair has B
+    nonempty, a relabelling moves one member of B onto {1..l}, and the
+    relabelled A is again every k-set meeting all of B (a k-set left out
+    would add its meets with B), so the sweep scores that pair.
 
-    Values and bounds are degree sums: d_B(x) is the popcount of B's index
-    bitset against the l-sets holding x, and the sets ua[i:] still to be
-    decided add at most sum_x suffix[i][x] d_B(x), where suffix[i][x] counts
-    those holding x.  A node costs O(n) big-int operations.
+    Values and bounds are degree sums: d_A(x) is the popcount of A's index
+    bitset against the k-sets holding x, and the swept sets swept[i:] still
+    to be decided add at most sum_x suffix[i][x] d_A(x), where suffix[i][x]
+    counts those holding x.  A node costs O(n) big-int operations.
+    Witnesses are (A, B) pairs.
     """
     t0 = time.perf_counter()
     _check_params(n, k)
@@ -401,14 +429,14 @@ def max_omega_cross(
         raise TooLargeError(
             f"C({n},{k}) = {ca}, C({n},{l}) = {cb}; budget is {budget}"
         )
-    ua = ksubset_masks(n, k)
-    ub_masks = ksubset_masks(n, l)
-    na = len(ua)
-    elems_a = [tuple(_bits_list(m)) for m in ua]
-    b_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in ub_masks])
-    compat = [_meeting(b_by_elem, xs) for xs in elems_a]
+    swept = ksubset_masks(n, l)
+    partner = ksubset_masks(n, k)
+    ns = len(swept)
+    elems = [tuple(_bits_list(m)) for m in swept]
+    p_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in partner])
+    compat = [_meeting(p_by_elem, xs) for xs in elems]
     suffix = [[0] * n]
-    for xs in reversed(elems_a):
+    for xs in reversed(elems):
         row = list(suffix[-1])
         for x in xs:
             row[x] += 1
@@ -418,41 +446,43 @@ def max_omega_cross(
     bound = omega_cross_bound(n, k, l).value
     best = omega_cross(star(n, k, 1), star(n, l, 1))
     raw: list[tuple[int, tuple[int, ...], int]] = []
-    a_idx: list[int] = []
-    d_a = [0] * n
+    s_idx: list[int] = []
+    d_s = [0] * n
 
-    def sweep(i: int, bmask: int, val: int, d_b: list[int]) -> None:
+    def sweep(i: int, pmask: int, val: int, d_p: list[int]) -> None:
+        # the partner pmask is never empty: a swept set is taken only if
+        # some k-set still meets it
         nonlocal best
-        if i == na:
-            if a_idx and bmask and val >= best:
+        if i == ns:
+            if val >= best:
                 best = val
-                raw.append((val, tuple(a_idx), bmask))
+                raw.append((val, tuple(s_idx), pmask))
             return
-        if val + sum(map(mul, suffix[i], d_b)) < best:
+        if val + sum(map(mul, suffix[i], d_p)) < best:
             return
-        nb_mask = bmask & compat[i]
-        if nb_mask:
-            xs = elems_a[i]
-            nd_b = d_b if nb_mask == bmask else [(nb_mask & e).bit_count() for e in b_by_elem]
-            # the l-sets leaving B hold d_b[x] - nd_b[x] copies of x
-            nval = val + sum(nd_b[x] for x in xs) - sum(map(mul, d_a, map(sub, d_b, nd_b)))
-            a_idx.append(i)
+        np_mask = pmask & compat[i]
+        if np_mask:
+            xs = elems[i]
+            nd_p = d_p if np_mask == pmask else [(np_mask & e).bit_count() for e in p_by_elem]
+            # the k-sets leaving the partner hold d_p[x] - nd_p[x] copies of x
+            nval = val + sum(nd_p[x] for x in xs) - sum(map(mul, d_s, map(sub, d_p, nd_p)))
+            s_idx.append(i)
             for x in xs:
-                d_a[x] += 1
-            sweep(i + 1, nb_mask, nval, nd_b)
+                d_s[x] += 1
+            sweep(i + 1, np_mask, nval, nd_p)
             for x in xs:
-                d_a[x] -= 1
-            a_idx.pop()
-        if i:  # A always holds ua[0] = {1..k}
-            sweep(i + 1, bmask, val, d_b)
+                d_s[x] -= 1
+            s_idx.pop()
+        if i:  # B always holds swept[0] = {1..l}
+            sweep(i + 1, pmask, val, d_p)
 
-    full_b = (1 << len(ub_masks)) - 1
-    sweep(0, full_b, 0, [e.bit_count() for e in b_by_elem])
+    full_p = (1 << len(partner)) - 1
+    sweep(0, full_p, 0, [e.bit_count() for e in p_by_elem])
     # The star pair is closed (each side is the other's maximal partner) for
     # n >= k + l, so its leaf is visited and the seed value is recorded.
     winners = [
-        ([ua[i] for i in a], [ub_masks[j] for j in _bits_list(b)])
-        for val, a, b in raw
+        ([partner[j] for j in _bits_list(p)], [swept[i] for i in s])
+        for val, s, p in raw
         if val == best
     ]
     witnesses = _witness_classes(n, (k, l), winners)

@@ -33,7 +33,7 @@ MAX_GROUND = 63
 # C(n, k) caps.  C(n, k) bounds memory, not search cost: the intersecting
 # search is fastest far from n = 2k ((12,3) and (10,4) take milliseconds,
 # (10,5) with C = 252 under a second, (12,6) past two minutes), and the cross
-# sweep can still visit 2^C(n, k) subsets.  A budget is 1 to
+# sweep can still visit 2^C(n, l) subsets of the l-sets.  A budget is 1 to
 # MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
 NAIVE_BUDGET = 16
 MAX_EXHAUSTIVE_BUDGET = 256

@@ -412,6 +412,25 @@ def test_cli_import_skips_process_pool(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_skips_pathlib_and_resources(tmp_path):
+    # -S keeps site hooks from preloading either module; only report_schema
+    # needs importlib.resources, and files are read and written with open()
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["bound", "family", "6", "2", "--json", "--out", str(tmp_path / "report.json")]
+    code = (
+        "import sys, intersum.cli\n"
+        f"assert intersum.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('importlib.resources', 'pathlib') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "report.json").read_text())["result"]
+
+
 ENGINES = ("bounds", "cyclic", "search", "weights")
 
 

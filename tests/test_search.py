@@ -33,6 +33,8 @@ from intersum.search import (
 )
 from intersum.setcore import (
     Family,
+    Permutation,
+    _canonical_masks,
     fingerprint,
     is_intersecting,
     is_star,
@@ -61,6 +63,53 @@ def test_pair_classes_keep_equal_fingerprints_apart():
     raw = [(list(f.bitmasks), list(point.bitmasks)) for f in (HEXAGON, TRIANGLES)]
     classes = _witness_classes(11, (2, 1), raw)
     assert len(classes) == 2
+
+
+def classes_one_by_one(n, raw):
+    """Oracle for the degree-order collapse: canonicalise every raw winner."""
+    return sorted({_canonical_masks(n, colours) for colours in raw})
+
+
+@st.composite
+def raw_winners(draw):
+    """Raw winners on n <= 7 with one or two member lists each, drawn as
+    random relabellings of up to three base winners.  A base list is a few
+    random k-sets, or those closed under the rotation x -> x + 1 (mod n),
+    which gives every element the same degree, so the degree order is all
+    ties and only the canonical form can tell the winners apart."""
+    n = draw(st.integers(2, 7))
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
+    full = (1 << n) - 1
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = []
+        for k in sizes:
+            drawn = st.lists(st.sampled_from(ksubset_masks(n, k)), min_size=1, max_size=5)
+            masks = set(draw(drawn))
+            if draw(st.booleans()):
+                masks = {(m << s | m >> (n - s)) & full for m in masks for s in range(n)}
+            base.append(sorted(masks))
+        bases.append(base)
+    raw = []
+    for _ in range(draw(st.integers(1, 6))):
+        perm = Permutation(n, tuple(draw(st.permutations(range(1, n + 1)))))
+        raw.append(tuple(list(map(perm.of_bits, masks)) for masks in draw(st.sampled_from(bases))))
+    return n, tuple(sizes), raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_winners())
+@example((11, (2,), [(list(f.bitmasks),) for f in (HEXAGON, TRIANGLES)]))
+@example(
+    (11, (2, 1), [(list(f.bitmasks), [1 << 10]) for f in (HEXAGON, TRIANGLES, HEXAGON)])
+)
+@example((6, (3, 3), [(list(star(6, 3, x).bitmasks),) * 2 for x in (1, 4, 6)]))
+def test_witness_classes_match_one_by_one(case):
+    """Relabelling winners by degree order before canonicalising keeps the
+    classes of canonicalising every winner."""
+    n, sizes, raw = case
+    got = [tuple(f.bitmasks for f in cls) for cls in _witness_classes(n, sizes, raw)]
+    assert got == classes_one_by_one(n, raw)
 
 
 # --- exact family search ---
@@ -235,6 +284,16 @@ def test_exact_cross_guards():
         max_omega_cross(12, 3, 2)
 
 
+@pytest.mark.parametrize("n,k,l", [(8, 3, 2), (9, 3, 2), (7, 4, 2), (10, 4, 2), (12, 3, 2)])
+def test_exact_cross_l_below_k_sole_star_pair(n, k, l):
+    """Configs the l-side sweep brings within reach: one class, the
+    common-centre star pair, at the closed form."""
+    r = max_omega_cross(n, k, l, budget=256)
+    assert r.best_value == omega_cross_bound(n, k, l).value and r.tight
+    [(wa, wb)] = r.witnesses
+    assert (wa.bitmasks, wb.bitmasks) == (star(n, k, 1).bitmasks, star(n, l, 1).bitmasks)
+
+
 def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -242,7 +301,8 @@ def _bits(mask):
 def cross_oracle(n, k, l):
     """Best total and raw optimal pairs as member-mask lists, by walking every
     subset A of the k-universe, pairing it with all l-sets that meet every
-    member of A, and keeping the pairs that are maximal on both sides."""
+    member of A, and keeping the pairs that are maximal on both sides.  It
+    walks the k-side on purpose: the search sweeps the l-side."""
     ua, ub = ksubset_masks(n, k), ksubset_masks(n, l)
     meets_a = [sum(1 << j for j, b in enumerate(ub) if a & b) for a in ua]
     meets_b = [sum(1 << i for i, a in enumerate(ua) if a & b) for b in ub]
@@ -305,7 +365,9 @@ def _digest(obj):
 # Exact results pinned from the pair-summing searches: best value, a digest of
 # the witness classes and a digest of asdict(uniqueness_report(...)).  (6,3)
 # and (4,2,2) are boundary configs with two optimal classes each, so a prune
-# that cuts a tie shows up there.
+# that cuts a tie shows up there.  The last three rows were recorded from the
+# cross sweep over the k-side, before it swept the l-side; it took about 80 s
+# at (9,3,2).
 PINNED_EXACT = [
     ((4, 2), 3, "5b25bb4f2e0dc894", "ea711671496b34b6"),
     ((5, 2), 6, "1b3bef0b379419ac", "da7683bd1b6470ce"),
@@ -319,15 +381,18 @@ PINNED_EXACT = [
     ((6, 2, 2), 30, "4eef88178e390a6c", "5abd3ed4516519ef"),
     ((6, 3, 2), 70, "f5d4848bc6e8ac4b", "9019d304dc4aaab6"),
     ((7, 3, 2), 120, "7fbb5018413359ae", "939cb1c9af3ba7ad"),
+    ((8, 3, 2), 189, "dd4e4678c21f0610", "3793d7676f7c1497"),
+    ((7, 4, 2), 180, "96e604cbaf32eca9", "0d8dc446bb7654e6"),
+    ((9, 3, 2), 280, "7e64c32ea4561392", "150be5ab4abbf63c"),
 ]
 
 
 @pytest.mark.parametrize("config,value,witnesses,report", PINNED_EXACT)
 def test_exact_pinned(config, value, witnesses, report):
     if len(config) == 2:
-        r = max_omega_intersecting(*config, budget=64)
+        r = max_omega_intersecting(*config, budget=256)
     else:
-        r = max_omega_cross(*config, budget=64)
+        r = max_omega_cross(*config, budget=256)
     u = uniqueness_report(r)
     assert (r.best_value, _witness_digest(r), _digest(asdict(u))) == (value, witnesses, report)
 
