@@ -59,13 +59,10 @@ _MODULES = {
     "setcore": (
         "Family",
         "KSet",
-        "Permutation",
-        "apply_perm",
         "canonical_form",
         "element_degrees",
         "family_from_dict",
         "family_to_dict",
-        "fingerprint",
         "full_family",
         "is_cross_intersecting",
         "is_intersecting",

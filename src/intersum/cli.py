@@ -383,12 +383,7 @@ def _cmd_search_exact(args):
     if args.naive:
         if args.l is not None:
             raise _CliUsageError("--naive oracle only covers intersecting families")
-        from .search import _check_budget
-
-        _check_budget(args.budget)
-        res = intersum.max_omega_intersecting_naive(
-            args.n, args.k, budget=min(args.budget, NAIVE_BUDGET)
-        )
+        res = intersum.max_omega_intersecting_naive(args.n, args.k, budget=args.budget)
     elif args.l is None:
         res = intersum.max_omega_intersecting(args.n, args.k, budget=args.budget)
     else:

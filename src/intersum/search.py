@@ -22,9 +22,11 @@ canonicalised, so each distinct one is canonicalised once.  A budget caps
 C(n, k) (and C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
 
 The heuristic is plain simulated annealing over families, restarted from
-empty, with a greedy completion pass so short runs still land on maximal
-families.  It never proves anything, but it raises CounterexampleError if it
-ever beats a proved bound, which is the point of running it.
+empty.  Up to _SA_ADJ_CAP k-sets it adds a greedy completion pass, so short
+runs still land on maximal families; above that cap there is no completion,
+and a run reports the best family it visited, which need not be maximal.  It
+never proves anything, but it raises CounterexampleError if it ever beats a
+proved bound, which is the point of running it.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ from .setcore import (
     _canonical_masks,
     _check_ground,
     _check_member_size,
+    _columns,
     _is_int,
     family_to_dict,
     is_star,
@@ -138,16 +141,6 @@ def _bits_list(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def _element_bitsets(n: int, elems: list[tuple[int, ...]]) -> list[int]:
-    """For each element x, the bitset of universe indices whose set holds x."""
-    out = [0] * n
-    for i, xs in enumerate(elems):
-        bit = 1 << i
-        for x in xs:
-            out[x] |= bit
     return out
 
 
@@ -249,7 +242,7 @@ def max_omega_intersecting(
         )
     universe = ksubset_masks(n, k)
     elems = [tuple(_bits_list(m)) for m in universe]
-    by_elem = _element_bitsets(n, elems)
+    by_elem = _columns(universe, n)
     index = {m: i for i, m in enumerate(universe)}
     full = (1 << count) - 1
     # up[v]: v and every set above it in the componentwise order, built from
@@ -327,7 +320,9 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
     """Reference oracle: test all 2^C(n,k) subsets directly.
 
     Exists to cross-check the branch-and-bound on small instances; same
-    result contract as max_omega_intersecting.
+    result contract as max_omega_intersecting.  budget is checked like the
+    branch and bound's, then capped at NAIVE_BUDGET, so no budget walks more
+    than 2^NAIVE_BUDGET subsets.
     """
     t0 = time.perf_counter()
     _check_params(n, k)
@@ -335,8 +330,9 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
     if n < 2 * k:
         raise HypothesisError(f"exact search needs n >= 2k, got n={n}, k={k}")
     count = math.comb(n, k)
-    if count > budget:
-        raise TooLargeError(f"C({n},{k}) = {count} exceeds the naive budget {budget}")
+    cap = min(budget, NAIVE_BUDGET)
+    if count > cap:
+        raise TooLargeError(f"C({n},{k}) = {count} exceeds the naive budget {cap}")
     universe = ksubset_masks(n, k)
     big_n = len(universe)
     table = [[(a & b).bit_count() for b in universe] for a in universe]
@@ -433,7 +429,7 @@ def max_omega_cross(
     partner = ksubset_masks(n, k)
     ns = len(swept)
     elems = [tuple(_bits_list(m)) for m in swept]
-    p_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in partner])
+    p_by_elem = _columns(partner, n)
     compat = [_meeting(p_by_elem, xs) for xs in elems]
     suffix = [[0] * n]
     for xs in reversed(elems):
@@ -581,8 +577,11 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     a set v joining it meets the members in sum(deg[x] for x in v) elements
     in all, so a move's gain costs O(k) instead of a pass over the members.
     Up to _SA_ADJ_CAP sets, the compatible sets are kept as a bitset through
-    _MissCounts; above it, proposals are sampled and checked against held[x],
-    the bitset of member indices that contain x.
+    _MissCounts, and every 64 steps and at the end of each restart the
+    family is completed greedily (closure_value).  Above it, proposals are
+    sampled and checked against held[x], the bitset of member indices that
+    contain x, and no completion runs: the best family visited is returned
+    as it stands, and may fall far short of the bound.
     """
     count = math.comb(n, k)
     if count > _SA_UNIVERSE_CAP:
@@ -597,7 +596,7 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     use_adj = count <= _SA_ADJ_CAP
     adj: list[int] = []
     if use_adj:
-        by_elem = _element_bitsets(n, elems)
+        by_elem = _columns(universe, n)
         adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
 
     rng = random.Random(cfg.seed)
@@ -766,7 +765,7 @@ def _anneal_cross(
     ua = ksubset_masks(n, k)
     ub = ksubset_masks(n, l)
     elems_a = [tuple(_bits_list(m)) for m in ua]
-    b_by_elem = _element_bitsets(n, [tuple(_bits_list(m)) for m in ub])
+    b_by_elem = _columns(ub, n)
     na = len(ua)
     full_b = (1 << len(ub)) - 1
 

@@ -1,4 +1,4 @@
-"""k-subsets of {1..n} as bitmasks, families of them, and relabellings.
+"""k-subsets of {1..n} as bitmasks, families of them, and canonical forms.
 
 Element e of the ground set corresponds to bit e-1, so intersection sizes
 are single popcounts.  Ground sets are capped at 63 elements, so every mask
@@ -341,45 +341,6 @@ def is_star(family: Family) -> int | None:
     return (common & -common).bit_length()
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1..n}; image[e-1] is where e goes."""
-
-    n: int
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_ground(self.n)
-        if len(self.image) != self.n or sorted(self.image) != list(range(1, self.n + 1)):
-            raise BadElementError(f"image {self.image!r} is not a bijection on 1..{self.n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(n, tuple(range(1, n + 1)))
-
-    def __call__(self, element: int) -> int:
-        if not 1 <= element <= self.n:
-            raise BadElementError(f"element {element} outside ground set 1..{self.n}")
-        return self.image[element - 1]
-
-    def of_bits(self, bits: int) -> int:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << (self.image[low.bit_length() - 1] - 1)
-            bits ^= low
-        return out
-
-
-def apply_perm(family: Family, perm: Permutation) -> Family:
-    """Relabel every member elementwise."""
-    if perm.n != family.n:
-        raise GroundMismatchError(
-            f"permutation on 1..{perm.n} applied to family on 1..{family.n}"
-        )
-    return Family.from_bitmasks(family.n, family.k, (perm.of_bits(b) for b in family.bitmasks))
-
-
 def _twin_classes(n: int, colours: Sequence[Sequence[int]]) -> list[int]:
     """Masks of the classes of elements whose transposition fixes every colour.
 
@@ -537,18 +498,18 @@ _LANE_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
 
 
 def _columns(masks: tuple[int, ...], n: int) -> list[int]:
-    """For x in 0..n-1, the bitset of the masks holding bit x: masks[i] is
-    bit len(masks) - 1 - i, an order its users (popcounts and ANDs of
-    columns) never see.
+    """For x in 0..n-1, the bitset of the masks holding bit x, with masks[i]
+    at bit i, so a column is an index bitset over masks (the searches rely
+    on this order).
 
     Transposes the bit matrix in byte operations: every mask fits one
     little-endian 64-bit word (MAX_GROUND = 63 < 64), so byte x // 8 of each
     word holds bit x, and mapping those bytes to digits spells the column in
-    binary.
+    binary, the last mask first.
     """
     if not masks:
         return [0] * n
-    words = array("Q", masks)
+    words = array("Q", reversed(masks))
     if sys.byteorder == "big":
         words.byteswap()
     raw = words.tobytes()
@@ -558,17 +519,3 @@ def _columns(masks: tuple[int, ...], n: int) -> list[int]:
 def element_degrees(family: Family) -> tuple[int, ...]:
     """For each element 1..n, how many members contain it."""
     return tuple(col.bit_count() for col in _columns(family.bitmasks, family.n))
-
-
-def fingerprint(family: Family) -> tuple:
-    """Cheap relabelling-invariant signature (not a complete invariant).
-
-    Combines the sorted degree sequence with the multiset of pairwise
-    intersection sizes.  Equal canonical forms imply equal fingerprints;
-    the converse can fail, so use canonical_form to decide isomorphism.
-    """
-    counts = [0] * (family.k + 1)
-    ms = family.bitmasks
-    for a, b in combinations(ms, 2):
-        counts[(a & b).bit_count()] += 1
-    return (tuple(sorted(element_degrees(family))), tuple(counts))

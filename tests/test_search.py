@@ -33,27 +33,28 @@ from intersum.search import (
 )
 from intersum.setcore import (
     Family,
-    Permutation,
     _canonical_masks,
-    fingerprint,
+    element_degrees,
     is_intersecting,
     is_star,
     ksubset_masks,
     make_family,
     star,
 )
-from intersum.weights import omega_cross, omega_family
+from intersum.weights import intersection_profile, omega_cross, omega_family
 
 
 # --- witness normalization ---
 
-# C6 and two disjoint triangles on 11 points: equal fingerprints, not isomorphic
+# C6 and two disjoint triangles on 11 points: equal sorted degrees and equal
+# meet profiles, not isomorphic
 HEXAGON = make_family(11, 2, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
 TRIANGLES = make_family(11, 2, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
 
 
 def test_family_classes_keep_equal_fingerprints_apart():
-    assert fingerprint(HEXAGON) == fingerprint(TRIANGLES)
+    assert sorted(element_degrees(HEXAGON)) == sorted(element_degrees(TRIANGLES))
+    assert intersection_profile(HEXAGON, HEXAGON) == intersection_profile(TRIANGLES, TRIANGLES)
     raw = [(list(f.bitmasks),) for f in (HEXAGON, TRIANGLES)]
     assert len(_witness_classes(11, (2,), raw)) == 2
 
@@ -92,8 +93,13 @@ def raw_winners(draw):
         bases.append(base)
     raw = []
     for _ in range(draw(st.integers(1, 6))):
-        perm = Permutation(n, tuple(draw(st.permutations(range(1, n + 1)))))
-        raw.append(tuple(list(map(perm.of_bits, masks)) for masks in draw(st.sampled_from(bases))))
+        image = draw(st.permutations(range(n)))
+        raw.append(
+            tuple(
+                [sum(1 << image[p] for p in range(n) if m >> p & 1) for m in masks]
+                for masks in draw(st.sampled_from(bases))
+            )
+        )
     return n, tuple(sizes), raw
 
 
@@ -423,6 +429,9 @@ def test_budget_ceiling_before_universe(monkeypatch):
         max_omega_cross(30, 15, 10, budget=10**9)
     with pytest.raises(TooLargeError, match="ceiling"):
         max_omega_intersecting_naive(30, 15, budget=10**9)
+    # C(9,2) = 36 is within the exhaustive ceiling but past NAIVE_BUDGET
+    with pytest.raises(TooLargeError, match=r"C\(9,2\) = 36 exceeds the naive budget 16"):
+        max_omega_intersecting_naive(9, 2, budget=36)
 
 
 # --- serialization ---
