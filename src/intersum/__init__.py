@@ -34,7 +34,6 @@ _MODULES = {
     ),
     "errors": (
         "BadElementError",
-        "BadLengthError",
         "BadSizeError",
         "CounterexampleError",
         "DuplicateSetError",

@@ -36,7 +36,6 @@ import intersum
 from . import __version__
 from .errors import (
     BadElementError,
-    BadLengthError,
     BadSizeError,
     CounterexampleError,
     DuplicateSetError,
@@ -47,6 +46,7 @@ from .errors import (
     TooLargeError,
 )
 from .setcore import (
+    DEFAULT_EXHAUSTIVE_BUDGET,
     MAX_EXHAUSTIVE_BUDGET,
     MAX_GROUND,
     MAX_SWEEP_GROUND,
@@ -57,7 +57,10 @@ from .setcore import (
     star,
 )
 
-_BUDGET_HELP = f"max C(n,k) for exhaustion, 1..{MAX_EXHAUSTIVE_BUDGET}"
+_BUDGET_HELP = (
+    f"max C(n,k) for exhaustion, 1..{MAX_EXHAUSTIVE_BUDGET}"
+    f" (default {DEFAULT_EXHAUSTIVE_BUDGET})"
+)
 
 # Every bound kind at every k <= n/2 stays under 2500 digits up to n = 4096,
 # inside Python's 4300-digit limit on int-to-str conversion; n = 8192 is not.
@@ -71,7 +74,6 @@ EXIT_INTERNAL = 4
 
 _USAGE_ERRORS = (
     BadElementError,
-    BadLengthError,
     BadSizeError,
     DuplicateSetError,
     GroundMismatchError,
@@ -491,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("n", type=int)
     ve.add_argument("k", type=int)
     ve.add_argument("l", type=int, nargs="?")
-    ve.add_argument("--budget", type=int, default=24, help=_BUDGET_HELP)
+    ve.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_BUDGET, help=_BUDGET_HELP)
 
     se = sub.add_parser("search-exact", help="exhaustive maximization")
     se.add_argument("n", type=int)
     se.add_argument("k", type=int)
     se.add_argument("l", type=int, nargs="?")
-    se.add_argument("--budget", type=int, default=24, help=_BUDGET_HELP)
+    se.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_BUDGET, help=_BUDGET_HELP)
     se.add_argument(
         "--naive",
         action="store_true",

@@ -26,10 +26,6 @@ class GroundMismatchError(IntersumError):
     """Two objects that must share a ground set do not."""
 
 
-class BadLengthError(IntersumError):
-    """An interval or meet length is out of range."""
-
-
 class TooLargeError(IntersumError):
     """The instance exceeds a documented enumeration or representation limit.
 

@@ -19,7 +19,9 @@ r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and the cross
 bound is val + sum_x suffix[i][x] d_A(x), suffix counting the l-sets still to
 be decided.  Tied winners are relabelled by degree order before they are
 canonicalised, so each distinct one is canonicalised once.  A budget caps
-C(n, k) (and C(n, l)) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.
+C(n, k) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.  Each exact search first
+asks bounds for its closed form, which refuses parameters outside the proved
+regime, so the regime is decided there alone.
 
 The heuristic is plain simulated annealing over families, restarted from
 empty.  Up to _SA_ADJ_CAP k-sets it adds a greedy completion pass, so short
@@ -48,13 +50,13 @@ from .errors import (
     TooLargeError,
 )
 from .setcore import (
+    DEFAULT_EXHAUSTIVE_BUDGET,
     MAX_EXHAUSTIVE_BUDGET,
     MAX_SWEEP_GROUND,
     NAIVE_BUDGET,
     Family,
     _canonical_masks,
-    _check_ground,
-    _check_member_size,
+    _check_sizes,
     _columns,
     _is_int,
     family_to_dict,
@@ -64,9 +66,8 @@ from .setcore import (
 )
 from .weights import omega_cross, omega_family
 
-# C(n, k) caps: NAIVE_BUDGET and MAX_EXHAUSTIVE_BUDGET are defined in setcore.
+# The exhaustive C(n, k) caps and the default budget are defined in setcore.
 # The annealer only needs the universe (and its adjacency) in memory.
-DEFAULT_EXHAUSTIVE_BUDGET = 24
 _SA_UNIVERSE_CAP = 100_000
 _SA_ADJ_CAP = 4096
 _SA_CROSS_B_CAP = 2048
@@ -121,11 +122,6 @@ class HeuristicConfig:
     decay: float = 0.999
 
 
-def _check_params(n: int, k: int) -> None:
-    _check_ground(n)
-    _check_member_size(n, k)
-
-
 def _check_budget(budget: int) -> None:
     if not _is_int(budget) or budget < 1:
         raise BadSizeError(f"budget must be a positive integer, got {budget!r}")
@@ -133,6 +129,46 @@ def _check_budget(budget: int) -> None:
         raise TooLargeError(
             f"budget {budget} exceeds the exhaustive ceiling {MAX_EXHAUSTIVE_BUDGET}"
         )
+
+
+def _universe(n: int, k: int, budget: int, kind: str) -> tuple[int, ...]:
+    """The k-set masks of a search, refused before they are built when
+    C(n, k) exceeds its kind of budget."""
+    count = math.comb(n, k)
+    if count > budget:
+        raise TooLargeError(f"C({n},{k}) = {count} exceeds the {kind} budget {budget}")
+    return ksubset_masks(n, k)
+
+
+def _finish(
+    config: tuple[int, ...],
+    best: int,
+    bound: int | None,
+    witnesses: tuple,
+    t0: float,
+    *,
+    exhaustive: bool,
+    seed: int | None,
+) -> SearchResult:
+    """The result of every search, timed from t0; raises CounterexampleError,
+    carrying the witnesses, when best beats a proved bound."""
+    if bound is not None and best > bound:
+        what = "exact cross search" if len(config) == 3 else "exact search"
+        raise CounterexampleError(
+            f"{what if exhaustive else 'heuristic'} found {best} above the proved bound {bound}"
+            f" at ({','.join('nkl'[: len(config)])})=({','.join(map(str, config))})",
+            witness=witnesses,
+        )
+    return SearchResult(
+        config=config,
+        best_value=best,
+        bound=bound,
+        tight=best == bound,
+        exhaustive=exhaustive,
+        witnesses=witnesses,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        seed=seed,
+    )
 
 
 def _bits_list(mask: int) -> list[int]:
@@ -206,8 +242,8 @@ def max_omega_intersecting(
 
     Enumerates the shifted intersecting families by branch and bound and
     reports the canonical forms of the optimal ones.  Refuses universes
-    larger than budget, and parameters with n < 2k, where the closed form
-    does not apply.
+    larger than budget, and parameters outside the regime of
+    omega_intersecting_bound (n < 2k).
 
     Why shifted families suffice: for i != j the shift S_ij replaces each
     member A with j in A, i not in A by A - j + i unless that set is already
@@ -231,16 +267,11 @@ def max_omega_intersecting(
     big-int operations.  Pruning is strict, so ties survive.
     """
     t0 = time.perf_counter()
-    _check_params(n, k)
+    _check_sizes(n, k)
     _check_budget(budget)
-    if n < 2 * k:
-        raise HypothesisError(f"exact search needs n >= 2k, got n={n}, k={k}")
-    count = math.comb(n, k)
-    if count > budget:
-        raise TooLargeError(
-            f"C({n},{k}) = {count} exceeds the exhaustive budget {budget}"
-        )
-    universe = ksubset_masks(n, k)
+    bound = omega_intersecting_bound(n, k).value
+    universe = _universe(n, k, budget, "exhaustive")
+    count = len(universe)
     elems = [tuple(_bits_list(m)) for m in universe]
     by_elem = _columns(universe, n)
     index = {m: i for i, m in enumerate(universe)}
@@ -264,7 +295,6 @@ def max_omega_intersecting(
             blocked |= up[w]
         keep.append(~blocked)
 
-    bound = omega_intersecting_bound(n, k).value
     best = omega_family(star(n, k, 1))
     raw: list[tuple[int, tuple[int, ...]]] = []
     r: list[int] = []
@@ -299,21 +329,7 @@ def max_omega_intersecting(
     # value, so at least one winner is always recorded.
     winners = [([universe[i] for i in idxs],) for val, idxs in raw if val == best]
     witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
-    if best > bound:
-        raise CounterexampleError(
-            f"exact search found {best} above the proved bound {bound} at (n,k)=({n},{k})",
-            witness=witnesses,
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return SearchResult(
-        config=(n, k),
-        best_value=best,
-        bound=bound,
-        tight=best == bound,
-        exhaustive=True,
-        witnesses=witnesses,
-        runtime_ms=runtime_ms,
-    )
+    return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
 
 
 def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> SearchResult:
@@ -325,15 +341,10 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
     than 2^NAIVE_BUDGET subsets.
     """
     t0 = time.perf_counter()
-    _check_params(n, k)
+    _check_sizes(n, k)
     _check_budget(budget)
-    if n < 2 * k:
-        raise HypothesisError(f"exact search needs n >= 2k, got n={n}, k={k}")
-    count = math.comb(n, k)
-    cap = min(budget, NAIVE_BUDGET)
-    if count > cap:
-        raise TooLargeError(f"C({n},{k}) = {count} exceeds the naive budget {cap}")
-    universe = ksubset_masks(n, k)
+    bound = omega_intersecting_bound(n, k).value
+    universe = _universe(n, k, min(budget, NAIVE_BUDGET), "naive")
     big_n = len(universe)
     table = [[(a & b).bit_count() for b in universe] for a in universe]
     adj = [0] * big_n
@@ -373,18 +384,8 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
             best, winners = val, [(masks,)]
         else:
             winners.append((masks,))
-    bound = omega_intersecting_bound(n, k).value
     witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return SearchResult(
-        config=(n, k),
-        best_value=best,
-        bound=bound,
-        tight=best == bound,
-        exhaustive=True,
-        witnesses=witnesses,
-        runtime_ms=runtime_ms,
-    )
+    return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,11 @@ def max_omega_cross(
     swept[0] = {1..l}; the best partner for a fixed B is the family A of all
     k-sets meeting every member of B, so only those pairs are scored.  The
     swept side is never the larger one: l <= k and n >= k + l give
-    C(n, l) <= C(n, k).  Rooting loses no class: an optimal pair has B
-    nonempty, a relabelling moves one member of B onto {1..l}, and the
-    relabelled A is again every k-set meeting all of B (a k-set left out
-    would add its meets with B), so the sweep scores that pair.
+    C(n, l) <= C(n, k), so budget caps C(n, k) alone.  Rooting loses no
+    class: an optimal pair has B nonempty, a relabelling moves one member of
+    B onto {1..l}, and the relabelled A is again every k-set meeting all of
+    B (a k-set left out would add its meets with B), so the sweep scores
+    that pair.
 
     Values and bounds are degree sums: d_A(x) is the popcount of A's index
     bitset against the k-sets holding x, and the swept sets swept[i:] still
@@ -413,20 +415,12 @@ def max_omega_cross(
     Witnesses are (A, B) pairs.
     """
     t0 = time.perf_counter()
-    _check_params(n, k)
-    _check_params(n, l)
+    _check_sizes(n, k)
+    _check_sizes(n, l)
     _check_budget(budget)
-    if l > k:
-        raise HypothesisError(f"cross search is stated for k >= l, got k={k}, l={l}")
-    if n < k + l:
-        raise HypothesisError(f"cross search needs n >= k + l, got n={n}, k={k}, l={l}")
-    ca, cb = math.comb(n, k), math.comb(n, l)
-    if max(ca, cb) > budget:
-        raise TooLargeError(
-            f"C({n},{k}) = {ca}, C({n},{l}) = {cb}; budget is {budget}"
-        )
+    bound = omega_cross_bound(n, k, l).value
+    partner = _universe(n, k, budget, "exhaustive")
     swept = ksubset_masks(n, l)
-    partner = ksubset_masks(n, k)
     ns = len(swept)
     elems = [tuple(_bits_list(m)) for m in swept]
     p_by_elem = _columns(partner, n)
@@ -439,7 +433,6 @@ def max_omega_cross(
         suffix.append(row)
     suffix.reverse()
 
-    bound = omega_cross_bound(n, k, l).value
     best = omega_cross(star(n, k, 1), star(n, l, 1))
     raw: list[tuple[int, tuple[int, ...], int]] = []
     s_idx: list[int] = []
@@ -482,22 +475,7 @@ def max_omega_cross(
         if val == best
     ]
     witnesses = _witness_classes(n, (k, l), winners)
-    if best > bound:
-        raise CounterexampleError(
-            f"exact cross search found {best} above the proved bound {bound}"
-            f" at (n,k,l)=({n},{k},{l})",
-            witness=witnesses,
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return SearchResult(
-        config=(n, k, l),
-        best_value=best,
-        bound=bound,
-        tight=best == bound,
-        exhaustive=True,
-        witnesses=witnesses,
-        runtime_ms=runtime_ms,
-    )
+    return _finish((n, k, l), best, bound, witnesses, t0, exhaustive=True, seed=None)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +821,7 @@ def heuristic_max(
     """
     t0 = time.perf_counter()
     cfg = config or HeuristicConfig()
-    _check_params(n, k)
+    _check_sizes(n, k)
     if cfg.iterations < 1 or cfg.restarts < 1:
         raise BadSizeError("heuristic needs at least one restart and one iteration")
     if not 0.0 < cfg.decay <= 1.0 or not 0.0 <= cfg.initial_temperature < math.inf:
@@ -861,7 +839,7 @@ def heuristic_max(
         witnesses: tuple = (fam,)
         cfg_tuple: tuple[int, ...] = (n, k)
     else:
-        _check_params(n, l)
+        _check_sizes(n, l)
         if l > k:
             raise HypothesisError(f"cross mode is stated for k >= l, got k={k}, l={l}")
         bound = omega_cross_bound(n, k, l).value if n >= k + l else None
@@ -873,22 +851,7 @@ def heuristic_max(
         cfg_tuple = (n, k, l)
     if check != best:
         raise InternalError(f"annealer bookkeeping drifted: tracked {best}, actual {check}")
-    if bound is not None and best > bound:
-        raise CounterexampleError(
-            f"heuristic found {best} above the proved bound {bound} at {cfg_tuple}",
-            witness=witnesses,
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return SearchResult(
-        config=cfg_tuple,
-        best_value=best,
-        bound=bound,
-        tight=bound is not None and best == bound,
-        exhaustive=False,
-        witnesses=witnesses,
-        runtime_ms=runtime_ms,
-        seed=cfg.seed,
-    )
+    return _finish(cfg_tuple, best, bound, witnesses, t0, exhaustive=False, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ MAX_GROUND = 63
 # sweep can still visit 2^C(n, l) subsets of the l-sets.  A budget is 1 to
 # MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
 NAIVE_BUDGET = 16
+DEFAULT_EXHAUSTIVE_BUDGET = 24
 MAX_EXHAUSTIVE_BUDGET = 256
 # All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
 # window reads per order (plus an O(n^2) meet graph for the Katona sweep);
@@ -55,7 +56,9 @@ def _check_ground(n: int) -> None:
         raise TooLargeError(f"ground-set size {n} exceeds the bitmask limit {MAX_GROUND}")
 
 
-def _check_member_size(n: int, k: int) -> None:
+def _check_sizes(n: int, k: int) -> None:
+    """Reject a ground-set size n, then a member size k outside 1..n."""
+    _check_ground(n)
     if not _is_int(k) or not 1 <= k <= n:
         raise BadSizeError(f"member size k={k!r} out of range 1..{n}")
 
@@ -137,8 +140,7 @@ class Family:
     bitmasks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_ground(self.n)
-        _check_member_size(self.n, self.k)
+        _check_sizes(self.n, self.k)
         masks = self.bitmasks
         if type(masks) is not tuple:
             raise TypeError(f"bitmasks must be a tuple, got {type(masks).__name__}")
@@ -198,8 +200,7 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
     elements, BadElementError on out-of-range elements or sets that are not
     lists of elements, DuplicateSetError on repeats.
     """
-    _check_ground(n)
-    _check_member_size(n, k)
+    _check_sizes(n, k)
     masks = _bulk_masks(n, k, sets)
     if masks is not None:
         try:
@@ -270,15 +271,8 @@ def family_from_dict(data: dict) -> Family:
 
 def ksubset_masks(n: int, k: int) -> tuple[int, ...]:
     """All k-subset bitmasks of {1..n} in ascending numeric order."""
-    _check_ground(n)
-    _check_member_size(n, k)
-    masks = []
-    for positions in combinations(range(n), k):
-        m = 0
-        for p in positions:
-            m |= 1 << p
-        masks.append(m)
-    return tuple(sorted(masks))
+    _check_sizes(n, k)
+    return tuple(sorted(map(sum, combinations(_BIT[1 : n + 1], k))))
 
 
 def full_family(n: int, k: int) -> Family:
@@ -287,19 +281,11 @@ def full_family(n: int, k: int) -> Family:
 
 def star(n: int, k: int, x: int) -> Family:
     """All k-subsets of {1..n} containing the fixed element x."""
-    _check_ground(n)
-    _check_member_size(n, k)
+    _check_sizes(n, k)
     if not 1 <= x <= n:
         raise BadElementError(f"center {x} outside ground set 1..{n}")
-    xbit = 1 << (x - 1)
-    rest = [p for p in range(n) if p != x - 1]
-    masks = []
-    for positions in combinations(rest, k - 1):
-        m = xbit
-        for p in positions:
-            m |= 1 << p
-        masks.append(m)
-    return Family.from_bitmasks(n, k, masks)
+    rest = _BIT[1:x] + _BIT[x + 1 : n + 1]
+    return Family.from_bitmasks(n, k, [sum(c, _BIT[x]) for c in combinations(rest, k - 1)])
 
 
 def is_intersecting(family: Family) -> bool:

@@ -418,11 +418,17 @@ def test_budget_range():
         assert run(search.MAX_EXHAUSTIVE_BUDGET).best_value > 0
 
 
-def test_budget_ceiling_before_universe(monkeypatch):
+@pytest.fixture
+def no_universe(monkeypatch):
+    """Fail any search that gets as far as building its k-set universe."""
+
     def refuse(n, k):
         raise AssertionError("universe built")
 
     monkeypatch.setattr(search, "ksubset_masks", refuse)
+
+
+def test_budget_ceiling_before_universe(no_universe):
     with pytest.raises(TooLargeError, match="ceiling"):
         max_omega_intersecting(30, 15, budget=10**9)
     with pytest.raises(TooLargeError, match="ceiling"):
@@ -432,6 +438,23 @@ def test_budget_ceiling_before_universe(monkeypatch):
     # C(9,2) = 36 is within the exhaustive ceiling but past NAIVE_BUDGET
     with pytest.raises(TooLargeError, match=r"C\(9,2\) = 36 exceeds the naive budget 16"):
         max_omega_intersecting_naive(9, 2, budget=36)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: max_omega_intersecting(5, 3),  # n < 2k
+        lambda: max_omega_intersecting_naive(5, 3),  # n < 2k
+        lambda: max_omega_cross(5, 3, 3),  # n < k + l
+        lambda: max_omega_cross(6, 2, 3),  # k < l
+    ],
+    ids=["bb-5-3", "naive-5-3", "cross-5-3-3", "cross-6-2-3"],
+)
+def test_regime_refused_before_universe(no_universe, run):
+    """The exact searches take their regime from the bounds module, which
+    refuses these parameters before any k-set is built."""
+    with pytest.raises(HypothesisError):
+        run()
 
 
 # --- serialization ---
@@ -627,6 +650,18 @@ def test_heuristic_step_cap():
     for l in (None, 3):
         with pytest.raises(TooLargeError, match="step cap"):
             heuristic_max(10, 3, l, config=over)
+
+
+def test_heuristic_counterexample_carries_witness():
+    """Below n = 2k the cross closed form is beaten (4 against 3 at
+    (4,3,1)); the heuristic reports that as the exact searches do."""
+    cfg = HeuristicConfig(seed=0, iterations=200, restarts=2)
+    with pytest.raises(CounterexampleError) as exc:
+        heuristic_max(4, 3, 1, cfg)
+    assert str(exc.value) == "heuristic found 4 above the proved bound 3 at (n,k,l)=(4,3,1)"
+    [(fa, fb)] = exc.value.witness
+    assert omega_cross(fa, fb) == 4
+    assert (fa.bitmasks, fb.bitmasks) == ((0b1101, 0b1110), (0b100, 0b1000))
 
 
 def test_heuristic_drift_is_internal_error(monkeypatch):

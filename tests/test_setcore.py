@@ -361,6 +361,17 @@ def test_ksubset_masks_sorted_and_complete():
         ksubset_masks(4, 0)
 
 
+def test_ksubset_masks_and_stars_match_popcount_oracle():
+    """Against every mask below 2^n with k bits, in ascending order, and its
+    members through x, for every n <= 10."""
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            want = tuple(m for m in range(1 << n) if m.bit_count() == k)
+            assert ksubset_masks(n, k) == want
+            for x in range(1, n + 1):
+                assert star(n, k, x).bitmasks == tuple(m for m in want if m >> (x - 1) & 1)
+
+
 def test_full_family():
     f = full_family(5, 3)
     assert len(f.members) == 10
