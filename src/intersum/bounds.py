@@ -102,6 +102,15 @@ def pm_star_count(n: int, k: int, l: int, m: int) -> int:
 
 
 def star_identity_check(n: int, k: int, l: int) -> bool:
-    """Exactly verify sum_m m * pm_star_count == omega_cross_bound value."""
-    total = sum(m * pm_star_count(n, k, l, m) for m in range(0, min(k, l) + 1))
-    return total == omega_cross_bound(n, k, l).value
+    """Exactly verify sum_m m * pm_star_count == omega_cross_bound value.
+
+    omega_cross_bound validates the arguments once, and in its regime
+    (1 <= l <= k, n >= k + l) every term of pm_star_count over m = 1..l has
+    nonnegative arguments, so the sum is taken with math.comb directly.
+    """
+    value = omega_cross_bound(n, k, l).value
+    total = sum(
+        m * math.comb(n - 1, m - 1) * math.comb(n - m, k - m) * math.comb(n - k, l - m)
+        for m in range(1, l + 1)
+    )
+    return total == value

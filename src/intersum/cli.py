@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 from math import comb
 
 # The engines (bounds, cyclic, search, weights) are called through the
@@ -54,6 +53,8 @@ from .setcore import (
     Family,
     family_from_dict,
     family_to_dict,
+    frozen_record,
+    record_dict,
     star,
 )
 
@@ -86,7 +87,7 @@ class _CliUsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RunManifest:
     command: str
     params: dict
@@ -126,7 +127,7 @@ def _emit(args, manifest: RunManifest, result: dict, text_lines: list[str]) -> N
     if args.json:
         payload = (
             json.dumps(
-                {"manifest": asdict(manifest), "result": result},
+                {"manifest": record_dict(manifest), "result": result},
                 sort_keys=True,
                 indent=2,
             )
@@ -163,10 +164,6 @@ def _run(args) -> int:
     )
     _emit(args, manifest, result, lines)
     return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _fields(report, skip=()) -> dict:
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
 
 
 def _fmt_sets(family: Family) -> str:
@@ -258,7 +255,8 @@ def _cmd_verify_katona(args):
         )
     if not rep.maxima_count_consistent:
         lines.append("FAIL: maxima counts differ between permutations")
-    result = {**_fields(rep), "example_maxima": [family_to_dict(f) for f in rep.example_maxima]}
+    result = record_dict(rep)
+    result["example_maxima"] = [family_to_dict(f) for f in rep.example_maxima]
     return result, lines, None, rep.ok
 
 
@@ -290,7 +288,7 @@ def _cmd_verify_doublecount(args):
             lines.append(
                 f"FAIL: m={m}: more than {m} distinct meets in one permutation"
             )
-        check = _fields(rep, skip=("n", "k", "l"))
+        check = {name: v for name, v in record_dict(rep).items() if name not in ("n", "k", "l")}
         # census totals grow without bound, so they cross JSON as strings
         for key in ("pair_count", "per_pair_expected", "lhs_total", "rhs_total"):
             check[key] = str(check[key])
@@ -306,13 +304,14 @@ def _cmd_verify_identity(args):
         raise _CliUsageError(f"--n-max must be at least 2, got {n_max}")
     if n_max > MAX_GROUND:
         raise TooLargeError(f"--n-max {n_max} exceeds the ground-set limit {MAX_GROUND}")
+    check = intersum.star_identity_check  # one package lookup, not one per config
     checked = 0
     failures = []
     for n in range(2, n_max + 1):
         for k in range(1, n):
             for l in range(1, min(k, n - k) + 1):
                 checked += 1
-                if not intersum.star_identity_check(n, k, l):
+                if not check(n, k, l):
                     failures.append([n, k, l])
     ok = not failures
     lines = []
@@ -355,7 +354,7 @@ def _cmd_verify_extremal(args):
             f"INFO: boundary parameters; {uniq.witness_count} witness class(es),"
             f" {stars} of star form (uniqueness not claimed)"
         )
-    result = {"search": res.to_json_dict(), "uniqueness": asdict(uniq), "ok": ok}
+    result = {"search": res.to_json_dict(), "uniqueness": record_dict(uniq), "ok": ok}
     return result, lines, None, ok
 
 

@@ -19,7 +19,6 @@ across pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import factorial
@@ -32,6 +31,7 @@ from .setcore import (
     Family,
     _is_int,
     _require_same_ground,
+    frozen_record,
     is_cross_intersecting,
 )
 
@@ -117,7 +117,7 @@ def _each_shares_element(masks: Sequence[int], cliques: Sequence[Sequence[int]])
     return True
 
 
-@dataclass(frozen=True)
+@frozen_record
 class KatonaReport:
     """Outcome of sweeping interval subfamilies of cyclic permutations."""
 
@@ -203,7 +203,7 @@ def katona_verify(n: int, k: int, all_perms: bool = False) -> KatonaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DoubleCountReport:
     """Census of representable pairs with a fixed meet size m."""
 

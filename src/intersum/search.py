@@ -35,12 +35,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import mul, sub
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
-from .cyclic import _orders, _windows
 from .errors import (
     BadSizeError,
     CounterexampleError,
@@ -60,6 +58,7 @@ from .setcore import (
     _columns,
     _is_int,
     family_to_dict,
+    frozen_record,
     is_star,
     ksubset_masks,
     star,
@@ -75,7 +74,7 @@ _SA_CROSS_B_CAP = 2048
 MAX_ANNEAL_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
+@frozen_record(uncompared=("runtime_ms",))
 class SearchResult:
     """Outcome of one maximization run.
 
@@ -89,7 +88,7 @@ class SearchResult:
     tight: bool
     exhaustive: bool
     witnesses: tuple
-    runtime_ms: int = field(default=0, compare=False)
+    runtime_ms: int = 0
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -113,7 +112,7 @@ class SearchResult:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HeuristicConfig:
     seed: int = 0
     iterations: int = 2000
@@ -484,17 +483,27 @@ def max_omega_cross(
 
 
 def _nth_set_bit(mask: int, idx: int) -> int:
+    """Position of the set bit of rank idx (0-based, from the low end).
+
+    Halves the mask, keeping the half that holds the bit, until at most 8
+    bits are left, so a w-bit mask costs O(log w) big-int operations.
+    """
     base = 0
-    while True:
-        word = mask & 0xFFFFFFFFFFFFFFFF
-        c = word.bit_count()
+    width = mask.bit_length()
+    while width > 8:
+        half = width >> 1
+        low = mask & ((1 << half) - 1)
+        c = low.bit_count()
         if idx < c:
-            for _ in range(idx):
-                word &= word - 1
-            return base + (word & -word).bit_length() - 1
-        idx -= c
-        mask >>= 64
-        base += 64
+            mask, width = low, half
+        else:
+            idx -= c
+            mask >>= half
+            base += half
+            width -= half
+    for _ in range(idx):
+        mask &= mask - 1
+    return base + (mask & -mask).bit_length() - 1
 
 
 def _random_set_bit(rng: random.Random, mask: int) -> int:
@@ -588,16 +597,18 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
             best_members = tuple(sorted(universe[i] for i in members))
 
     def closure_value(members: list[int], cmask: int, val: int) -> tuple[int, list[int]]:
-        ms = list(members)
-        d = list(deg)
+        # Take the lowest compatible set until none is left.  With a[x] of
+        # the added sets holding x, they meet the members in a[x] deg[x]
+        # elements at x and one another in C(a[x], 2).
+        added = 0
         while cmask:
-            v = (cmask & -cmask).bit_length() - 1
-            for x in elems[v]:
-                val += d[x]
-                d[x] += 1
-            ms.append(v)
-            cmask &= adj[v]
-        return val, ms
+            low = cmask & -cmask
+            added |= low
+            cmask &= adj[low.bit_length() - 1]
+        for column, d in zip(by_elem, deg):
+            a = (added & column).bit_count()
+            val += a * d + a * (a - 1) // 2
+        return val, members + _bits_list(added)
 
     def enter(v: int) -> None:
         for x in elems[v]:
@@ -859,7 +870,7 @@ def heuristic_max(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WitnessAssessment:
     index: int
     star_center: int | None
@@ -868,7 +879,7 @@ class WitnessAssessment:
     interval_pattern_holds: bool | None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class UniquenessReport:
     config: tuple[int, ...]
     exhaustive: bool
@@ -887,8 +898,11 @@ def _interval_patterns(n: int, families: list[Family]) -> bool:
     Orders are the plain tuples of element bits of cyclic._orders, element 1
     first, and their intervals are the windows of cyclic._windows.  For each
     family of k-sets, end_of maps the bitset of start positions of the
-    length-k intervals through position p to p.
+    length-k intervals through position p to p.  cyclic is imported here,
+    its only use in this module, so the searches start without compiling it.
     """
+    from .cyclic import _orders, _windows
+
     checks = [
         (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
         for f in families

@@ -10,9 +10,8 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import lt
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -91,19 +90,105 @@ def bits_to_elements(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def frozen_record(cls=None, *, uncompared: tuple[str, ...] = ()):
+    """Class decorator for an immutable record, used in place of a frozen
+    dataclass.
+
+    The fields are the names the class body annotates, in order, and a value
+    assigned to one in the body is its default.  Each method below is added
+    unless the body defines it: __init__ (arguments by position or keyword,
+    then __post_init__ if the class has one), __repr__, and __eq__ and
+    __hash__ over the fields not named in `uncompared`, the hash being that
+    of their tuple.  __reduce__ rebuilds a record through __init__, and
+    assigning or deleting an attribute raises AttributeError.  The methods
+    are closures over the field names, so unlike dataclasses no code is
+    compiled when a record class is defined, and neither `dataclasses` nor
+    `inspect` is imported.
+    """
+    if cls is None:
+        return lambda c: frozen_record(c, uncompared=uncompared)
+    body = cls.__dict__
+    names = tuple(body.get("__annotations__", ()))
+    defaults = {name: body[name] for name in names if name in body}
+    post_init = getattr(cls, "__post_init__", None)
+    compared = tuple(name for name in names if name not in uncompared)
+    if len(compared) > 1:
+        key = attrgetter(*compared)
+    else:
+        (only,) = compared
+        key = lambda self: (getattr(self, only),)  # noqa: E731
+    title = cls.__name__
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (
+            len(args) > len(names)
+            or values.keys() != set(names)
+            or not kwargs.keys().isdisjoint(names[: len(args)])
+        ):
+            raise TypeError(f"{title}() takes the fields {', '.join(names)}, each once")
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in names)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {title} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {title} is frozen")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __reduce__, __setattr__, __delattr__):
+        if method.__name__ not in body:
+            setattr(cls, method.__name__, method)
+    cls._record_fields = names
+    return cls
+
+
+def record_dict(value):
+    """A record as a dict of its fields, recursing into records, lists,
+    tuples and dicts, as dataclasses.asdict does for dataclasses."""
+    names = getattr(type(value), "_record_fields", None)
+    if names is not None:
+        return {name: record_dict(getattr(value, name)) for name in names}
+    if type(value) in (list, tuple):
+        return type(value)(map(record_dict, value))
+    if type(value) is dict:
+        return {key: record_dict(item) for key, item in value.items()}
+    return value
+
+
+@frozen_record
 class KSet:
     """A subset of {1..n} stored as a bitmask."""
 
+    __slots__ = ("n", "bits")
     n: int
     bits: int
 
-    def __post_init__(self) -> None:
-        _check_ground(self.n)
-        if self.bits < 0 or self.bits >> self.n:
-            raise BadElementError(
-                f"bitmask {self.bits:#x} has bits outside ground set 1..{self.n}"
-            )
+    def __init__(self, n: int, bits: int) -> None:
+        _set(self, "n", n)
+        _set(self, "bits", bits)
+        _check_ground(n)
+        if bits < 0 or bits >> n:
+            raise BadElementError(f"bitmask {bits:#x} has bits outside ground set 1..{n}")
 
     @property
     def size(self) -> int:
@@ -126,7 +211,7 @@ def kset(n: int, elements: Iterable[int]) -> KSet:
     return KSet(n, elements_to_bits(elements, n))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Family:
     """A duplicate-free collection of k-subsets of {1..n}.
 
@@ -135,21 +220,24 @@ class Family:
     and iteration build KSet views on demand.  Empty families are legal.
     """
 
+    __slots__ = ("n", "k", "bitmasks")
     n: int
     k: int
     bitmasks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_sizes(self.n, self.k)
-        masks = self.bitmasks
-        if type(masks) is not tuple:
-            raise TypeError(f"bitmasks must be a tuple, got {type(masks).__name__}")
-        if masks and not (
-            set(map(type, masks)) == {int}
-            and masks[0] >= 0
-            and not masks[-1] >> self.n
-            and all(map(lt, masks, masks[1:]))
-            and set(map(int.bit_count, masks)) == {self.k}
+    def __init__(self, n: int, k: int, bitmasks: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "bitmasks", bitmasks)
+        _check_sizes(n, k)
+        if type(bitmasks) is not tuple:
+            raise TypeError(f"bitmasks must be a tuple, got {type(bitmasks).__name__}")
+        if bitmasks and not (
+            set(map(type, bitmasks)) == {int}
+            and bitmasks[0] >= 0
+            and not bitmasks[-1] >> n
+            and all(map(lt, bitmasks, bitmasks[1:]))
+            and set(map(int.bit_count, bitmasks)) == {k}
         ):
             self._reject()
 
@@ -282,8 +370,8 @@ def full_family(n: int, k: int) -> Family:
 def star(n: int, k: int, x: int) -> Family:
     """All k-subsets of {1..n} containing the fixed element x."""
     _check_sizes(n, k)
-    if not 1 <= x <= n:
-        raise BadElementError(f"center {x} outside ground set 1..{n}")
+    if not _is_int(x) or not 1 <= x <= n:
+        raise BadElementError(f"center {x!r} outside ground set 1..{n}")
     rest = _BIT[1:x] + _BIT[x + 1 : n + 1]
     return Family.from_bitmasks(n, k, [sum(c, _BIT[x]) for c in combinations(rest, k - 1)])
 

@@ -10,10 +10,16 @@ keeps the plain pair loop for arbitrary weights and as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .setcore import Family, KSet, _columns, _require_same_ground, element_degrees
+from .setcore import (
+    Family,
+    KSet,
+    _columns,
+    _require_same_ground,
+    element_degrees,
+    frozen_record,
+)
 
 PairWeight = Callable[[KSet, KSet], int]
 
@@ -26,7 +32,7 @@ def unit_weight(a: KSet, b: KSet) -> int:
     return 1
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Profile:
     """counts[m] = number of pairs with intersection size exactly m."""
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intersum import bounds
 from intersum.bounds import (
+    BoundValue,
     binom,
     ekr_bound,
     omega_cross_bound,
@@ -110,3 +112,33 @@ def test_star_identity_check():
             for l in range(1, k + 1):
                 if n >= k + l:
                     assert star_identity_check(n, k, l)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+def _identity_by_pm_star_count(n, k, l):
+    total = sum(m * pm_star_count(n, k, l, m) for m in range(0, min(k, l) + 1))
+    return total == omega_cross_bound(n, k, l).value
+
+
+def test_star_identity_check_sums_pm_star_count(monkeypatch):
+    configs = [(n, k, l) for n in range(-1, 11) for k in range(-1, 7) for l in range(-1, 7)]
+    configs += [(True, 1, 1), (6, True, 1), (6, 2, True)]
+    for cfg in configs:
+        assert _outcome(star_identity_check, *cfg) == _outcome(_identity_by_pm_star_count, *cfg)
+    # in the regime the closed form always holds, so pin the sum itself: a
+    # bound equal to the pm_star_count sum passes and one above it fails
+    for n, k, l in configs:
+        if not isinstance(_outcome(omega_cross_bound, n, k, l), BoundValue):
+            continue
+        total = sum(m * pm_star_count(n, k, l, m) for m in range(1, l + 1))
+        for shift, verdict in ((0, True), (1, False)):
+            fake = BoundValue(total + shift, (n, k, l))
+            monkeypatch.setattr(bounds, "omega_cross_bound", lambda *_, fake=fake: fake)
+            assert star_identity_check(n, k, l) is verdict
+        monkeypatch.undo()

@@ -434,6 +434,23 @@ def test_cli_import_skips_pathlib_and_resources(tmp_path):
 ENGINES = ("bounds", "cyclic", "search", "weights")
 
 
+def test_cli_and_engines_import_without_dataclasses():
+    # records are built without dataclasses, whose import pulls in inspect,
+    # ast, dis and tokenize; -S keeps site hooks from preloading them
+    src = str(Path(intersum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, intersum.cli\n"
+        f"for m in {ENGINES!r}: __import__('intersum.' + m)\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def engines_loaded(tmp_path, argv=None):
     """The engine modules loaded in a fresh interpreter by `import
     intersum.cli`, then by running argv if given."""
@@ -457,6 +474,9 @@ def test_each_command_imports_only_its_engine(tmp_path):
     assert engines_loaded(tmp_path) == "[]"
     assert engines_loaded(tmp_path, ["omega", "family", "fam.json", "--profile"]) == "['weights']"
     assert engines_loaded(tmp_path, ["verify", "identity", "--n-max", "6"]) == "['bounds']"
+    # search reads cyclic only for the interval check of verify extremal
+    search_engines = "['bounds', 'search', 'weights']"
+    assert engines_loaded(tmp_path, ["search-exact", "6", "2"]) == search_engines
 
 
 def test_star_import_binds_every_public_name():

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
 from itertools import combinations, permutations
 
 import pytest
@@ -39,6 +38,7 @@ from intersum.setcore import (
     is_star,
     ksubset_masks,
     make_family,
+    record_dict,
     star,
 )
 from intersum.weights import intersection_profile, omega_cross, omega_family
@@ -369,7 +369,7 @@ def _digest(obj):
 
 
 # Exact results pinned from the pair-summing searches: best value, a digest of
-# the witness classes and a digest of asdict(uniqueness_report(...)).  (6,3)
+# the witness classes and a digest of record_dict(uniqueness_report(...)).  (6,3)
 # and (4,2,2) are boundary configs with two optimal classes each, so a prune
 # that cuts a tie shows up there.  The last three rows were recorded from the
 # cross sweep over the k-side, before it swept the l-side; it took about 80 s
@@ -400,7 +400,8 @@ def test_exact_pinned(config, value, witnesses, report):
     else:
         r = max_omega_cross(*config, budget=256)
     u = uniqueness_report(r)
-    assert (r.best_value, _witness_digest(r), _digest(asdict(u))) == (value, witnesses, report)
+    digests = (_witness_digest(r), _digest(record_dict(u)))
+    assert (r.best_value, *digests) == (value, witnesses, report)
 
 
 def test_budget_range():
@@ -707,6 +708,29 @@ def test_heuristic_pinned_seeds(config, iterations, restarts, expected):
         cfg = HeuristicConfig(seed=seed, iterations=iterations, restarts=restarts)
         r = heuristic_max(n, k, l, cfg)
         assert (r.best_value, _witness_digest(r)) == (value, digest)
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (10, 4), (14, 5)])
+def test_one_step_runs_report_the_greedy_completion(n, k):
+    # one step places one set, and the restart ends with the greedy
+    # completion, whose value is summed over element degrees: it must be a
+    # maximal intersecting family worth its recount
+    for seed in range(3):
+        r = heuristic_max(n, k, config=HeuristicConfig(seed=seed, iterations=1, restarts=1))
+        (fam,) = r.witnesses
+        members = set(fam.bitmasks)
+        assert is_intersecting(fam) and r.best_value == omega_family(fam)
+        outside = [m for m in ksubset_masks(n, k) if m not in members]
+        assert all(any(not m & b for b in members) for m in outside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**2100 - 1))
+@example(1)
+@example(2**2002 - 1)
+def test_nth_set_bit_matches_sorted_positions(mask):
+    positions = sorted(i for i in range(mask.bit_length()) if mask >> i & 1)
+    assert [search._nth_set_bit(mask, idx) for idx in range(len(positions))] == positions
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 """Core set/family representation: masks, validation, relabelling, canonical forms."""
 
+import copy
 import math
+import pickle
 from itertools import combinations, permutations
 from random import Random
 
@@ -36,6 +38,7 @@ from intersum.setcore import (
     kset,
     ksubset_masks,
     make_family,
+    record_dict,
     star,
 )
 from intersum.weights import intersection_profile
@@ -158,6 +161,37 @@ def test_kset_rejects_out_of_ground():
         kset(4, [1, 5])
     with pytest.raises(TooLargeError):
         KSet(64, 1)
+
+
+# --- frozen records ---
+
+
+def test_records_compare_hash_and_freeze():
+    from intersum.search import HeuristicConfig, SearchResult
+
+    fam = star(5, 2, 1)
+    fields = dict(config=(5, 2), best_value=6, bound=6, tight=True, exhaustive=True)
+    res = SearchResult(**fields, witnesses=(fam,), runtime_ms=3, seed=None)
+    # equality and hash skip runtime_ms, and the hash is that of the field tuple
+    assert res == SearchResult(**fields, witnesses=(fam,), runtime_ms=40)
+    assert res != SearchResult(**{**fields, "tight": False}, witnesses=(fam,))
+    assert hash(res) == hash(((5, 2), 6, 6, True, True, (fam,), None))
+    assert hash(fam) == hash((5, 2, fam.bitmasks)) and hash(KSet(5, 3)) == hash((5, 3))
+    for record in (res, fam, KSet(5, 3), HeuristicConfig()):
+        with pytest.raises(AttributeError):
+            record.n = 6
+        with pytest.raises(AttributeError):
+            del record.seed
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    assert HeuristicConfig() == HeuristicConfig(0, 2000, 8, 2.0, 0.999)
+    assert repr(HeuristicConfig(seed=4)) == (
+        "HeuristicConfig(seed=4, iterations=2000, restarts=8,"
+        " initial_temperature=2.0, decay=0.999)"
+    )
+    for bad in ({"seeds": 1}, {"config": (5, 2)}):
+        with pytest.raises(TypeError):
+            SearchResult(**fields, witnesses=(), **bad)
+    assert record_dict(res)["witnesses"] == ({"n": 5, "k": 2, "bitmasks": fam.bitmasks},)
 
 
 # --- family construction and validation ---
@@ -390,8 +424,9 @@ def test_star_shape():
 
 
 def test_star_rejects_bad_center():
-    with pytest.raises(BadElementError):
-        star(5, 2, 6)
+    for center in (6, 0, 2.0, "2", True):
+        with pytest.raises(BadElementError):
+            star(5, 2, center)
 
 
 def test_is_star_negative_cases():
