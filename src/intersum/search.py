@@ -506,8 +506,14 @@ def _nth_set_bit(mask: int, idx: int) -> int:
     return base + (mask & -mask).bit_length() - 1
 
 
-def _random_set_bit(rng: random.Random, mask: int) -> int:
-    return _nth_set_bit(mask, rng.randrange(mask.bit_count()))
+def _below(getrandbits, m: int) -> int:
+    """Random.randrange(m) for an int m > 0, draw for draw: m.bit_length()
+    random bits, drawn again until they fall below m."""
+    b = m.bit_length()
+    r = getrandbits(b)
+    while r >= m:
+        r = getrandbits(b)
+    return r
 
 
 class _MissCounts:
@@ -515,13 +521,17 @@ class _MissCounts:
     family fail to be compatible with j, bit-sliced: bit j of planes[b] is
     bit b of that count.  Adding or removing a member's miss set costs
     O(log |family|) big-int operations, so the compatible sets (count 0)
-    follow every move without a pass over the members."""
+    follow every move without a pass over the members.  The indices with
+    count 0 and with count 1 are kept until the next change, so queries
+    between moves (most proposals are rejected) cost O(1)."""
 
     def __init__(self, full: int):
         self.full = full
         self.planes: list[int] = []
+        self.levels: tuple[int, int] | None = (full, 0)
 
     def add(self, mask: int) -> None:
+        self.levels = None
         planes = self.planes
         for b, p in enumerate(planes):
             planes[b] = p ^ mask
@@ -532,6 +542,7 @@ class _MissCounts:
             planes.append(mask)
 
     def remove(self, mask: int) -> None:
+        self.levels = None
         planes = self.planes
         for b, p in enumerate(planes):
             planes[b] = p ^ mask
@@ -539,22 +550,16 @@ class _MissCounts:
             if not mask:
                 return
 
-    def zero(self) -> int:
-        """Indices every member is compatible with."""
-        high = 0
-        for p in self.planes:
-            high |= p
-        return self.full & ~high
-
     def zero_without(self, mask: int) -> int:
-        """Indices every member is compatible with once a member whose miss
-        set is mask leaves: count 0, or count 1 and in mask."""
-        if not self.planes:
-            return self.full
-        high = 0
-        for p in self.planes[1:]:
-            high |= p
-        return self.full & ~high & ~(self.planes[0] & ~mask)
+        """Indices compatible with every member once a member whose miss set
+        is mask leaves: count 0, or 1 and in mask (mask 0: none leaves)."""
+        if self.levels is None:
+            odd, high = (self.planes or [0])[0], 0
+            for p in self.planes[1:]:
+                high |= p
+            self.levels = (self.full & ~(odd | high), odd & ~high)
+        zero, one = self.levels
+        return zero | one & mask
 
 
 def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int, ...]]:
@@ -565,7 +570,8 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     in all, so a move's gain costs O(k) instead of a pass over the members.
     Up to _SA_ADJ_CAP sets, the compatible sets are kept as a bitset through
     _MissCounts, and every 64 steps and at the end of each restart the
-    family is completed greedily (closure_value).  Above it, proposals are
+    family is completed greedily (complete), unless a degree bound shows
+    that the completion cannot beat the best.  Above the cap, proposals are
     sampled and checked against held[x], the bitset of member indices that
     contain x, and no completion runs: the best family visited is returned
     as it stands, and may fall far short of the bound.
@@ -586,143 +592,141 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
         by_elem = _columns(universe, n)
         adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
 
-    rng = random.Random(cfg.seed)
-    best_val = -1
-    best_members: tuple[int, ...] = ()
-
-    def consider(val: int, members: list[int]) -> None:
+    def complete(cmask: int, val: int, members: list[int], deg: list[int]) -> None:
+        # Every set the completion adds lies in cmask, so with p[x] of its
+        # sets holding x it is worth at most val + sum_x (deg[x] p[x] +
+        # C(p[x], 2)), the exact search's node bound; below the best it is
+        # skipped.  Otherwise take the lowest compatible set until none is
+        # left: with a[x] of the added sets holding x, they meet the members
+        # in a[x] deg[x] elements at x and one another in C(a[x], 2).
         nonlocal best_val, best_members
-        if val > best_val:
-            best_val = val
-            best_members = tuple(sorted(universe[i] for i in members))
-
-    def closure_value(members: list[int], cmask: int, val: int) -> tuple[int, list[int]]:
-        # Take the lowest compatible set until none is left.  With a[x] of
-        # the added sets holding x, they meet the members in a[x] deg[x]
-        # elements at x and one another in C(a[x], 2).
+        ps = [(cmask & column).bit_count() for column in by_elem]
+        if val + sum(map(mul, deg, ps)) + (sum(map(mul, ps, ps)) - sum(ps)) // 2 <= best_val:
+            return
         added = 0
         while cmask:
             low = cmask & -cmask
             added |= low
             cmask &= adj[low.bit_length() - 1]
-        for column, d in zip(by_elem, deg):
-            a = (added & column).bit_count()
-            val += a * d + a * (a - 1) // 2
-        return val, members + _bits_list(added)
+        a = [(added & column).bit_count() for column in by_elem]
+        val += sum(map(mul, deg, a)) + (sum(map(mul, a, a)) - sum(a)) // 2
+        if val > best_val:
+            best_val = val
+            listed = members + _bits_list(added)
+            best_members = tuple(sorted(map(universe.__getitem__, listed)))
 
-    def enter(v: int) -> None:
-        for x in elems[v]:
-            deg[x] += 1
-        if use_adj:
-            misses.add(full ^ adj[v])
-        else:
-            bit = 1 << v
-            for x in elems[v]:
-                held[x] |= bit
-
-    def leave(u: int) -> None:
-        for x in elems[u]:
-            deg[x] -= 1
-        if use_adj:
-            misses.remove(full ^ adj[u])
-        else:
-            bit = 1 << u
-            for x in elems[u]:
-                held[x] ^= bit
-
+    rng = random.Random(cfg.seed)
+    uniform, bits = rng.random, rng.getrandbits
+    decay = cfg.decay
+    best_val = -1
+    best_members: tuple[int, ...] = ()
     for _ in range(cfg.restarts):
         members: list[int] = []
         deg = [0] * n
+        dget = deg.__getitem__
         misses = _MissCounts(full)
         held = [0] * n
         cmask = full if use_adj else 0
         val = 0
         temp = cfg.initial_temperature
         for it in range(cfg.iterations):
-            if not members:
-                v = rng.randrange(big_n)
-                members.append(v)
-                enter(v)
-                if use_adj:
-                    cmask = adj[v]
-                consider(0, members)
-                temp *= cfg.decay
-                continue
-            move = rng.random()
+            # an empty family takes a uniform set (every set is compatible),
+            # with no move drawn and no completion after it
+            move = uniform() if members else -1.0
             if move < 0.45:
                 # grow with a compatible set
                 if use_adj:
                     if cmask == 0:
-                        temp *= cfg.decay
+                        temp *= decay
                         continue
-                    v = _random_set_bit(rng, cmask)
+                    v = _nth_set_bit(cmask, _below(bits, cmask.bit_count()))
                     cmask &= adj[v]
+                    misses.add(full ^ adj[v])
                 else:
-                    v = _sample_compatible(rng, elems, held, len(members))
+                    v = _sample_compatible(bits, elems, held, len(members))
                     if v is None:
-                        temp *= cfg.decay
+                        temp *= decay
                         continue
-                val += sum(deg[x] for x in elems[v])
+                    for x in elems[v]:
+                        held[x] |= 1 << v
+                ys = elems[v]
+                val += sum(map(dget, ys))
+                for x in ys:
+                    deg[x] += 1
                 members.append(v)
-                enter(v)
             elif move < 0.60:
                 # drop a member; its own k elements are not meets
-                ui = rng.randrange(len(members))
+                ui = _below(bits, len(members))
                 u = members[ui]
-                delta = k - sum(deg[x] for x in elems[u])
-                if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
+                xs = elems[u]
+                delta = k - sum(map(dget, xs))
+                if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
                     members.pop(ui)
-                    leave(u)
                     val += delta
+                    for x in xs:
+                        deg[x] -= 1
                     if use_adj:
-                        cmask = misses.zero()
+                        miss_u = full ^ adj[u]
+                        cmask = misses.zero_without(miss_u)
+                        misses.remove(miss_u)
+                    else:
+                        for x in xs:
+                            held[x] ^= 1 << u
             else:
                 # swap one member for a set compatible with the rest
-                ui = rng.randrange(len(members))
+                ui = _below(bits, len(members))
                 u = members[ui]
                 if use_adj:
-                    cwo = misses.zero_without(full ^ adj[u]) & ~(1 << u)
+                    miss_u = full ^ adj[u]
+                    free = misses.zero_without(miss_u)
+                    cwo = free & ~(1 << u)
                     if cwo == 0:
-                        temp *= cfg.decay
+                        temp *= decay
                         continue
-                    v = _random_set_bit(rng, cwo)
+                    v = _nth_set_bit(cwo, _below(bits, cwo.bit_count()))
                 else:
-                    v = _sample_compatible(rng, elems, held, len(members) - 1, forbid=u)
+                    v = _sample_compatible(bits, elems, held, len(members) - 1, forbid=u)
                     if v is None:
-                        temp *= cfg.decay
+                        temp *= decay
                         continue
+                xs, ys = elems[u], elems[v]
                 # deg still counts u, which meets v in |u & v| and itself in k
-                delta = (
-                    sum(deg[x] for x in elems[v])
-                    - (universe[u] & universe[v]).bit_count()
-                    - sum(deg[x] for x in elems[u])
-                    + k
-                )
-                if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
+                delta = sum(map(dget, ys)) - sum(map(dget, xs)) + k
+                delta -= (universe[u] & universe[v]).bit_count()
+                if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
                     members[ui] = v
-                    leave(u)
-                    enter(v)
                     val += delta
+                    for x in xs:
+                        deg[x] -= 1
+                    for x in ys:
+                        deg[x] += 1
                     if use_adj:
-                        cmask = misses.zero()
-            consider(val, members)
-            if use_adj and it % 64 == 63:
-                cval, cms = closure_value(members, cmask, val)
-                consider(cval, cms)
-            temp *= cfg.decay
+                        misses.remove(miss_u)
+                        misses.add(full ^ adj[v])
+                        # u left, so it is compatible again if it meets v
+                        cmask = free & adj[v]
+                    else:
+                        for x in xs:
+                            held[x] ^= 1 << u
+                        for x in ys:
+                            held[x] |= 1 << v
+            if val > best_val:
+                best_val, best_members = val, tuple(sorted(map(universe.__getitem__, members)))
+            if use_adj and it % 64 == 63 and move >= 0:
+                complete(cmask, val, members, deg)
+            temp *= decay
         if use_adj:
-            cval, cms = closure_value(members, cmask, val)
-            consider(cval, cms)
+            complete(cmask, val, members, deg)
     return best_val, best_members
 
 
-def _sample_compatible(rng, elems, held, size, forbid=-1, tries=32):
+def _sample_compatible(getrandbits, elems, held, size, forbid=-1, tries=32):
     """Random universe index outside the family that meets its `size`
     members other than forbid, by rejection sampling.  held[x] is the bitset
     of member indices containing x, so a candidate costs O(k) to check."""
     keep = ~(1 << forbid) if forbid >= 0 else -1
     for _ in range(tries):
-        i = rng.randrange(len(elems))
+        i = _below(getrandbits, len(elems))
         xs = elems[i]
         if held[xs[0]] >> i & 1:
             continue
@@ -741,9 +745,12 @@ def _anneal_cross(
     compatible family for the current A.
 
     A pair's total is sum over x of d_A(x) * d_B(x).  d_A is kept as moves
-    are accepted; d_B(x) is the popcount of B's index bitset against the
-    bitset of l-sets holding x, and B itself follows A through _MissCounts,
-    so a move costs O(n + log |A|) big-int operations.
+    are accepted, and B follows A through _MissCounts together with d_B,
+    whose d_B(x) is the popcount of B's index bitset against the bitset of
+    l-sets holding x.  The new B costs O(k) big-int operations when a k-set
+    joins A and O(log |A|) when one leaves.  If B is unchanged, the total
+    moves by the sum of d_B over that k-set, O(k); only a move that changes
+    B recounts d_B, in n popcounts.
     """
     ca, cb = math.comb(n, k), math.comb(n, l)
     if ca > _SA_UNIVERSE_CAP or cb > _SA_CROSS_B_CAP:
@@ -758,65 +765,58 @@ def _anneal_cross(
     na = len(ua)
     full_b = (1 << len(ub)) - 1
 
-    def b_degrees(bmask: int) -> list[int]:
-        return [(bmask & e).bit_count() for e in b_by_elem]
-
     rng = random.Random(cfg.seed)
+    uniform, bits = rng.random, rng.getrandbits
+    decay = cfg.decay
     best_val = -1
     best_a: tuple[int, ...] = ()
     best_b: tuple[int, ...] = ()
-
-    def consider(val: int, a_members: list[int], bmask: int) -> None:
-        nonlocal best_val, best_a, best_b
-        if val > best_val and a_members and bmask:
-            best_val = val
-            best_a = tuple(sorted(ua[i] for i in a_members))
-            best_b = tuple(sorted(ub[j] for j in _bits_list(bmask)))
-
     for _ in range(cfg.restarts):
         a_members: list[int] = []
         d_a = [0] * n
         misses = _MissCounts(full_b)
         bmask = full_b
+        d_b = [e.bit_count() for e in b_by_elem]
         val = 0
         temp = cfg.initial_temperature
         for _ in range(cfg.iterations):
-            grow = not a_members or rng.random() < 0.6
-            if grow:
-                i = rng.randrange(na)
-                if i in a_members:
-                    temp *= cfg.decay
-                    continue
-                ci = _meeting(b_by_elem, elems_a[i])
+            if not a_members or uniform() < 0.6:
+                i = _below(bits, na)
+                xs = elems_a[i]
+                ci = _meeting(b_by_elem, xs)
                 nbm = bmask & ci
-                if nbm == 0:
-                    temp *= cfg.decay
+                # a member of A meets all of B, so it leaves B unchanged
+                if not nbm or nbm == bmask and i in a_members:
+                    temp *= decay
                     continue
-                d_b = b_degrees(nbm)
-                nval = sum(map(mul, d_a, d_b)) + sum(d_b[x] for x in elems_a[i])
-                delta = nval - val
-                if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
-                    a_members.append(i)
-                    for x in elems_a[i]:
-                        d_a[x] += 1
-                    misses.add(full_b ^ ci)
-                    bmask, val = nbm, nval
+                sign = 1
             else:
-                ui = rng.randrange(len(a_members))
-                u = a_members[ui]
-                miss_u = full_b ^ _meeting(b_by_elem, elems_a[u])
+                ui = _below(bits, len(a_members))
+                xs = elems_a[a_members[ui]]
+                miss_u = full_b ^ _meeting(b_by_elem, xs)
                 nbm = misses.zero_without(miss_u)
-                d_b = b_degrees(nbm)
-                nval = sum(map(mul, d_a, d_b)) - sum(d_b[x] for x in elems_a[u])
-                delta = nval - val
-                if delta >= 0 or (temp > 1e-12 and rng.random() < math.exp(delta / temp)):
+                sign = -1
+            if nbm == bmask:
+                nd_b, nval = d_b, val + sign * sum(map(d_b.__getitem__, xs))
+            else:
+                nd_b = [(nbm & e).bit_count() for e in b_by_elem]
+                nval = sum(map(mul, d_a, nd_b)) + sign * sum(map(nd_b.__getitem__, xs))
+            delta = nval - val
+            if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
+                for x in xs:
+                    d_a[x] += sign
+                if sign > 0:
+                    a_members.append(i)
+                    misses.add(full_b ^ ci)
+                else:
                     a_members.pop(ui)
-                    for x in elems_a[u]:
-                        d_a[x] -= 1
                     misses.remove(miss_u)
-                    bmask, val = nbm, nval
-            consider(val, a_members, bmask)
-            temp *= cfg.decay
+                bmask, val, d_b = nbm, nval, nd_b
+            if val > best_val and a_members:
+                best_val = val
+                best_a = tuple(sorted(map(ua.__getitem__, a_members)))
+                best_b = tuple(map(ub.__getitem__, _bits_list(bmask)))
+            temp *= decay
     return best_val, best_a, best_b
 
 

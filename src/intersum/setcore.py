@@ -187,6 +187,8 @@ class KSet:
         _set(self, "n", n)
         _set(self, "bits", bits)
         _check_ground(n)
+        if not _is_int(bits):
+            raise BadElementError(f"bitmask must be an int, got {bits!r}")
         if bits < 0 or bits >> n:
             raise BadElementError(f"bitmask {bits:#x} has bits outside ground set 1..{n}")
 
@@ -243,9 +245,15 @@ class Family:
 
     def _reject(self) -> None:
         """Raise the error for the first bad member, in the order that
-        building each KSet and then walking the members finds it."""
+        building each KSet and then walking the members finds it; a member
+        that is not an int raises TypeError, like masks that are not a tuple."""
+        members = []
+        for b in self.bitmasks:  # KSet rejects bits outside the ground set
+            if not _is_int(b):
+                raise TypeError("bitmasks must be ints")
+            members.append(KSet(self.n, b))
         prev = -1
-        for ks in self.members:  # KSet rejects bits outside the ground set
+        for ks in members:
             if ks.size != self.k:
                 raise BadSizeError(f"member {ks!r} does not have size {self.k}")
             if ks.bits == prev:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -710,6 +711,21 @@ def test_heuristic_pinned_seeds(config, iterations, restarts, expected):
         assert (r.best_value, _witness_digest(r)) == (value, digest)
 
 
+# The benchmark's anneal workload: seed 2 with the default HeuristicConfig,
+# pinned here so a drift in the random draws fails tier-1 before the bench.
+PINNED_DEFAULT_SEED2 = [
+    ((14, 5), 465400, "552f001f26ab3c98"),
+    ((10, 3, 3), 1872, "3cfd078a3c504d30"),
+    ((16, 4), 164710, "578665243373be2b"),
+]
+
+
+@pytest.mark.parametrize("config,value,digest", PINNED_DEFAULT_SEED2)
+def test_heuristic_pinned_default_config(config, value, digest):
+    r = heuristic_max(*config, config=HeuristicConfig(seed=2))
+    assert (r.best_value, _witness_digest(r)) == (value, digest)
+
+
 @pytest.mark.parametrize("n,k", [(7, 3), (10, 4), (14, 5)])
 def test_one_step_runs_report_the_greedy_completion(n, k):
     # one step places one set, and the restart ends with the greedy
@@ -735,6 +751,23 @@ def test_nth_set_bit_matches_sorted_positions(mask):
 
 @settings(max_examples=200, deadline=None)
 @given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.one_of(st.integers(1, 2**70), st.integers(0, 70).map(lambda e: 2**e)), max_size=30
+    ),
+)
+@example(0, [1, 1, 2, 3, 4, 2**64, 2**64 + 1])
+def test_below_draws_as_randrange(seed, bounds):
+    """_below replays Random.randrange draw for draw, so the seeded annealer
+    results do not move."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    drawn = [search._below(ours.getrandbits, m) for m in bounds]
+    assert drawn == [theirs.randrange(m) for m in bounds]
+    assert ours.getstate() == theirs.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
     st.integers(1, 70),
     st.lists(st.tuples(st.booleans(), st.integers(0, 2**70 - 1)), max_size=40),
 )
@@ -756,7 +789,7 @@ def test_miss_counts_match_plain_counters(width, moves):
             sign = -1
         for j in range(width):
             counts[j] += sign * (mask >> j & 1)
-        assert counter.zero() == sum(1 << j for j in range(width) if counts[j] == 0)
+        assert counter.zero_without(0) == sum(1 << j for j in range(width) if counts[j] == 0)
         for leaving in held:
             expect = sum(
                 1 << j for j in range(width) if counts[j] - (leaving >> j & 1) == 0

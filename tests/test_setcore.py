@@ -163,6 +163,12 @@ def test_kset_rejects_out_of_ground():
         KSet(64, 1)
 
 
+@pytest.mark.parametrize("bits", [True, False, 2.0, "3", None, [1]])
+def test_kset_rejects_bits_that_are_not_ints(bits):
+    with pytest.raises(BadElementError, match="must be an int"):
+        KSet(5, bits)
+
+
 # --- frozen records ---
 
 
@@ -240,6 +246,12 @@ def test_family_post_init_rejects_bad_masks():
         Family(4, 1, (True,))
     with pytest.raises(TypeError):
         Family(4, 2, (3.0,))
+    # a non-int member is reported where the walk meets it: after a bad one
+    # before it, before a wrong size after it
+    with pytest.raises(BadElementError):
+        Family(4, 1, (-1, True))
+    with pytest.raises(TypeError):
+        Family(4, 1, (True, 0b11))
 
 
 def test_family_holds_masks_and_builds_member_views():
