@@ -25,6 +25,7 @@ import json
 import sys
 import time
 from math import comb
+from typing import Iterable, Iterator
 
 # The engines (bounds, cyclic, search, weights) are called through the
 # package, whose __getattr__ imports a module on first use of one of its
@@ -123,7 +124,7 @@ def _load_family(path: str) -> Family:
     return family_from_dict(data)
 
 
-def _emit(args, manifest: RunManifest, result: dict, text_lines: list[str]) -> None:
+def _emit(args, manifest: RunManifest, result: dict, text_lines: Iterable[str]) -> None:
     if args.json:
         payload = (
             json.dumps(
@@ -224,7 +225,15 @@ def _cmd_omega(args):
     result = {"mode": args.mode, "weight": args.weight, "value": str(value), "profile": None}
     lines = [str(value)]
     if args.profile:
-        counts = intersum.intersection_profile(fam_a, fam_b).counts
+        # Count the pairs the value sums.  Of the profile's ordered pairs,
+        # strict mode drops the (S, S) pairs, which meet in k elements, and
+        # family mode drops them too and halves the rest.
+        counts = list(intersum.intersection_profile(fam_a, fam_b).counts)
+        if args.mode == "family":
+            counts[-1] -= len(fam_a)
+            counts = [c // 2 for c in counts]
+        elif args.mode == "strict":
+            counts[-1] -= len(set(fam_a.bitmasks) & set(fam_b.bitmasks))
         result["profile"] = [str(c) for c in counts]
         lines += [f"m={m}: {c}" for m, c in enumerate(counts)]
     return result, lines, str(value), True
@@ -253,8 +262,6 @@ def _cmd_verify_katona(args):
             f"INFO: n = 2k boundary; {rep.maxima_count} maxima per permutation,"
             " fixed-element form not required"
         )
-    if not rep.maxima_count_consistent:
-        lines.append("FAIL: maxima counts differ between permutations")
     result = record_dict(rep)
     result["example_maxima"] = [family_to_dict(f) for f in rep.example_maxima]
     return result, lines, None, rep.ok
@@ -363,21 +370,21 @@ def _cmd_verify_extremal(args):
 # ---------------------------------------------------------------------------
 
 
-def _search_lines(res) -> list[str]:
-    lines = [
+def _search_lines(res) -> Iterator[str]:
+    """The text report, produced only as _emit reads it: never under --json."""
+    yield (
         f"best {res.best_value}  bound {res.bound}"
         f"  {'tight' if res.tight else 'not tight'}"
         f"  ({'exhaustive' if res.exhaustive else 'heuristic'})"
-    ]
-    lines.append(f"witness classes: {len(res.witnesses)}")
+    )
+    yield f"witness classes: {len(res.witnesses)}"
     for i, wit in enumerate(res.witnesses, start=1):
         if len(res.config) == 3:
             fa, fb = wit
-            lines.append(f"  {i}: A = {_fmt_sets(fa)}")
-            lines.append(f"     B = {_fmt_sets(fb)}")
+            yield f"  {i}: A = {_fmt_sets(fa)}"
+            yield f"     B = {_fmt_sets(fb)}"
         else:
-            lines.append(f"  {i}: {_fmt_sets(wit)}")
-    return lines
+            yield f"  {i}: {_fmt_sets(wit)}"
 
 
 def _cmd_search_exact(args):

@@ -15,12 +15,12 @@ which ends where A ends and starts where B starts.  katona_verify checks
 that at most k of an order's n k-windows pairwise meet (n >= 2k), and that
 for n > 2k every maximum shares an element.  double_count_check counts the
 representable pairs two ways: per pair across all orders, and per order
-across pairs.
+across pairs.  _interval_patterns tests the searches' witnesses for the star
+pattern: in every order, a family's member windows are those through one position.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, compress, permutations
 from math import factorial
 from operator import sub
 from typing import Iterator, Sequence
@@ -63,33 +63,49 @@ def _orders(n: int) -> Iterator[tuple[int, ...]]:
         yield (1, *rest)
 
 
+def _interval_patterns(n: int, families: Sequence[Family]) -> bool:
+    """True when, in every cycle order of 1..n, each family's members that
+    are windows are exactly the windows through one position, the same
+    position for every family (the family's center in that order).
+
+    For each family of k-sets, end_of maps the bitset of start positions of
+    the length-k windows through position p to p.
+    """
+    checks = [
+        (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
+        for f in families
+    ]
+    position_bits = [1 << s for s in range(n)]
+    for order in _orders(n):
+        center = None
+        for t, members, end_of in checks:
+            windows = _windows(order, t)
+            present = sum(compress(position_bits, map(members.__contains__, windows)))
+            p = end_of.get(present)
+            if p is None or center not in (None, p):
+                return False
+            center = p
+    return True
+
+
 # ---------------------------------------------------------------------------
 # maximum intersecting interval subfamilies
 # ---------------------------------------------------------------------------
 
 
-def _meet_graph(masks: Sequence[int]) -> tuple[int, ...]:
-    """adj[i] has bit j set when masks i and j (i != j) share an element."""
-    adj = [0] * len(masks)
-    for i, mask in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if mask & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return tuple(adj)
-
-
-@lru_cache(maxsize=64)
-def _max_intersecting_interval_subsets(
-    adj: tuple[int, ...]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Max size and all maximum cliques of adj, each as its ascending indices.
+def _maximum_meeting_sets(masks: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Max size and all maximum pairwise-meeting sets of masks, each as its
+    ascending indices: the maximum cliques of the meet graph adj, where
+    adj[i] has bit j set when masks i and j (i != j) share an element.
 
     Subset DP: S is a clique iff S minus its lowest member is, and the lowest
-    member is adjacent to everything else.  The answer depends on adj alone,
-    so it is memoised on it; the results are immutable.
+    member is adjacent to everything else.
     """
-    n_iv = len(adj)
+    n_iv = len(masks)
+    adj = [
+        sum(1 << j for j, other in enumerate(masks) if j != i and mask & other)
+        for i, mask in enumerate(masks)
+    ]
     ok = bytearray(1 << n_iv)
     ok[0] = 1
     best, maxima = 0, [0]
@@ -142,6 +158,14 @@ def katona_verify(n: int, k: int, all_perms: bool = False) -> KatonaReport:
 
     With all_perms the sweep covers every cyclic permutation (n <= 8), else
     just the identity cycle (n <= 16).
+
+    The overlap argument: distinct positions of an order hold distinct
+    elements, so two k-windows meet exactly when their runs of positions
+    overlap, whatever the order.  So every order has the identity order's
+    meet graph and maximum cliques (as window positions), which are built
+    once: maxima_count_consistent is True by this argument, and each swept
+    order is read only to test the maxima of its own windows for a common
+    element.
     """
     if not (_is_int(n) and _is_int(k)) or k < 1:
         raise HypothesisError(f"need integers n >= 2k >= 2, got n={n!r}, k={k!r}")
@@ -152,49 +176,29 @@ def katona_verify(n: int, k: int, all_perms: bool = False) -> KatonaReport:
         mode = "all permutations" if all_perms else "one permutation"
         raise TooLargeError(f"katona_verify over {mode} is limited to n <= {limit}, got {n}")
 
-    best = 0
-    counts: set[int] = set()
-    all_fixed = True
-    perms_checked = 0
-    examples: tuple[Family, ...] = ()
-    # the identity order comes first, and without all_perms it is the only one
-    orders = _orders(n) if all_perms else [next(_orders(n))]
-    # Each order's meet graph is built from its own windows.  Two windows meet
-    # exactly when their positions overlap, so every order of one (n, k) gives
-    # the same graph and the subset DP runs once; the common-element test
-    # still reads each order's masks.
-    for order in orders:
-        masks = _windows(order, k)
-        b, maxima = _max_intersecting_interval_subsets(_meet_graph(masks))
-        if not perms_checked:
-            # the identity order's maxima are the examples
-            examples = tuple(
-                Family.from_bitmasks(n, k, [masks[i] for i in clique]) for clique in maxima
-            )
-        best = max(best, b)
-        counts.add(len(maxima))
-        all_fixed = all_fixed and _each_shares_element(masks, maxima)
-        perms_checked += 1
+    identity = next(_orders(n))
+    masks = _windows(identity, k)
+    best, maxima = _maximum_meeting_sets(masks)
+    orders = _orders(n) if all_perms else [identity]
+    fixed = [_each_shares_element(_windows(order, k), maxima) for order in orders]
 
     uniqueness_expected = n > 2 * k
-    ok = (
-        best == k
-        and len(counts) == 1
-        and (not uniqueness_expected or all_fixed)
-    )
     return KatonaReport(
         n=n,
         k=k,
         all_perms=all_perms,
-        perms_checked=perms_checked,
+        perms_checked=len(fixed),
         max_size=best,
         expected_max=k,
-        maxima_count=len(examples),
-        maxima_count_consistent=len(counts) == 1,
-        all_maxima_fixed=all_fixed,
+        maxima_count=len(maxima),
+        maxima_count_consistent=True,
+        all_maxima_fixed=all(fixed),
         uniqueness_expected=uniqueness_expected,
-        ok=ok,
-        example_maxima=examples,
+        ok=best == k and (not uniqueness_expected or all(fixed)),
+        # the identity order's maxima are the examples
+        example_maxima=tuple(
+            Family.from_bitmasks(n, k, [masks[i] for i in clique]) for clique in maxima
+        ),
     )
 
 

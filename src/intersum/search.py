@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import compress
+from itertools import combinations
 from operator import mul, sub
 
 from .bounds import omega_cross_bound, omega_intersecting_bound
@@ -179,6 +179,13 @@ def _bits_list(mask: int) -> list[int]:
     return out
 
 
+def _element_tuples(n: int, k: int) -> list[tuple[int, ...]]:
+    """[tuple(_bits_list(m)) for m in ksubset_masks(n, k)], built faster:
+    combinations over n - 1, ..., 0 yields the k-sets top element first in
+    descending mask order, so the list is read backwards."""
+    return [c[::-1] for c in reversed(list(combinations(range(n - 1, -1, -1), k)))]
+
+
 def _meeting(by_elem: list[int], xs: tuple[int, ...]) -> int:
     """Bitset of universe indices whose set meets the set with elements xs."""
     row = 0
@@ -271,7 +278,7 @@ def max_omega_intersecting(
     bound = omega_intersecting_bound(n, k).value
     universe = _universe(n, k, budget, "exhaustive")
     count = len(universe)
-    elems = [tuple(_bits_list(m)) for m in universe]
+    elems = _element_tuples(n, k)
     by_elem = _columns(universe, n)
     index = {m: i for i, m in enumerate(universe)}
     full = (1 << count) - 1
@@ -421,7 +428,7 @@ def max_omega_cross(
     partner = _universe(n, k, budget, "exhaustive")
     swept = ksubset_masks(n, l)
     ns = len(swept)
-    elems = [tuple(_bits_list(m)) for m in swept]
+    elems = _element_tuples(n, l)
     p_by_elem = _columns(partner, n)
     compat = [_meeting(p_by_elem, xs) for xs in elems]
     suffix = [[0] * n]
@@ -583,7 +590,7 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
             f" exceeds {_SA_UNIVERSE_CAP}"
         )
     universe = ksubset_masks(n, k)
-    elems = [tuple(_bits_list(m)) for m in universe]
+    elems = _element_tuples(n, k)
     big_n = len(universe)
     full = (1 << big_n) - 1
     use_adj = count <= _SA_ADJ_CAP
@@ -760,7 +767,7 @@ def _anneal_cross(
         )
     ua = ksubset_masks(n, k)
     ub = ksubset_masks(n, l)
-    elems_a = [tuple(_bits_list(m)) for m in ua]
+    elems_a = _element_tuples(n, k)
     b_by_elem = _columns(ub, n)
     na = len(ua)
     full_b = (1 << len(ub)) - 1
@@ -890,36 +897,6 @@ class UniquenessReport:
     ok: bool
 
 
-def _interval_patterns(n: int, families: list[Family]) -> bool:
-    """True when, in every cyclic order of 1..n, each family's members that
-    are intervals are exactly the intervals through one position, the same
-    position for every family (the family's center in that order).
-
-    Orders are the plain tuples of element bits of cyclic._orders, element 1
-    first, and their intervals are the windows of cyclic._windows.  For each
-    family of k-sets, end_of maps the bitset of start positions of the
-    length-k intervals through position p to p.  cyclic is imported here,
-    its only use in this module, so the searches start without compiling it.
-    """
-    from .cyclic import _orders, _windows
-
-    checks = [
-        (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
-        for f in families
-    ]
-    position_bits = [1 << s for s in range(n)]
-    for order in _orders(n):
-        center = None
-        for t, members, end_of in checks:
-            windows = _windows(order, t)
-            present = sum(compress(position_bits, map(members.__contains__, windows)))
-            p = end_of.get(present)
-            if p is None or center not in (None, p):
-                return False
-            center = p
-    return True
-
-
 def uniqueness_report(result: SearchResult) -> UniquenessReport:
     """Classify each witness of a search result against the star pattern.
 
@@ -930,6 +907,15 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
     that trace is necessary but not sufficient for stardom, so it is
     reported, not enforced.  Uniqueness itself is only asserted strictly
     inside the regime (n > 2k, n > k + l).
+
+    The star argument: in a cycle order with a full star's center at
+    position p, a window is a member exactly when it holds the center, that
+    is, runs through p; so (for member sizes below n, as every search's
+    regime gives) a star, or two stars on one center, shows the pattern in
+    every order.  Only the other witnesses are swept, through
+    cyclic._interval_patterns, so all-star results never import cyclic.  In
+    the strict regime ok already requires star witnesses, so the trace never
+    decides it.
 
     Only exhaustive results can be assessed; heuristic ones raise
     NotExhaustiveError.
@@ -945,16 +931,16 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
     check_intervals = n <= MAX_SWEEP_GROUND
     assessments = []
     for idx, wit in enumerate(result.witnesses):
-        if cross:
-            fa, fb = wit
-            xa, xb = is_star(fa), is_star(fb)
-            extremal = xa is not None and xa == xb
-            center = xa if extremal else None
-            holds = _interval_patterns(n, [fa, fb]) if check_intervals else None
-        else:
-            center = is_star(wit)
-            extremal = center is not None
-            holds = _interval_patterns(n, [wit]) if check_intervals else None
+        families = wit if cross else (wit,)
+        # a star, or stars on one center
+        centers = {is_star(f) for f in families}
+        center = centers.pop() if len(centers) == 1 else None
+        extremal = center is not None
+        holds = extremal if check_intervals else None  # stars hold by the star argument
+        if holds is False:
+            from .cyclic import _interval_patterns
+
+            holds = _interval_patterns(n, families)
         assessments.append(
             WitnessAssessment(
                 index=idx,
@@ -965,11 +951,7 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
             )
         )
     all_extremal = all(a.is_extremal_pattern for a in assessments)
-    ok = not strict_regime or (
-        len(result.witnesses) == 1
-        and all_extremal
-        and all(a.interval_pattern_holds is not False for a in assessments)
-    )
+    ok = not strict_regime or (len(result.witnesses) == 1 and all_extremal)
     return UniquenessReport(
         config=cfg,
         exhaustive=result.exhaustive,

@@ -93,6 +93,13 @@ def test_pm_star_count_values():
     assert pm_star_count(6, 3, 2, 1) == 30
 
 
+def test_pm_star_count_names_the_bad_parameter():
+    # the CLI reaches omega_cross_bound's check (tests/test_cli.py), not this one
+    for args, bad in (((5, 2, 0, 1), "l=0"), ((5, 0, 2, 1), "k=0"), ((0, 2, 2, 1), "n=0")):
+        with pytest.raises(BadSizeError, match=f"^{bad[0]} must be a positive integer, got {bad}$"):
+            pm_star_count(*args)
+
+
 @given(st.integers(2, 16), st.data())
 def test_pm_counts_sum_to_all_pairs(n, data):
     k = data.draw(st.integers(1, n - 1))

@@ -29,7 +29,14 @@ from intersum.cli import (
     report_schema,
 )
 from intersum.errors import BadElementError, BadSizeError, DuplicateSetError, TooLargeError
-from intersum.setcore import family_from_dict, family_to_dict, full_family, make_family, star
+from intersum.setcore import (
+    Family,
+    family_from_dict,
+    family_to_dict,
+    full_family,
+    make_family,
+    star,
+)
 from intersum.weights import omega_generic, unit_weight
 
 
@@ -91,6 +98,13 @@ def test_bound_caps_n_before_any_arithmetic(run_cli, monkeypatch):
         assert f"n <= {cli.MAX_BOUND_GROUND}" in err and "Traceback" not in err
 
 
+def test_bound_names_the_parameter_that_failed(run_cli):
+    for argv, bad in ((("cross", 5, 2, 0), "l=0"), (("cross", 5, 0, 2), "k=0"), (("family", 0, 2), "n=0")):
+        code, out, err = run_cli("bound", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: BadSizeError: {bad[0]} must be a positive integer, got {bad}\n"
+
+
 def test_bound_at_the_cap(run_cli):
     n = cli.MAX_BOUND_GROUND
     for argv in (("family", n, n // 2), ("cross", n, n // 2, n // 2)):
@@ -129,6 +143,56 @@ def test_omega_cross_files_and_profile(run_cli, family_file):
     assert code == EXIT_PASS
     assert out.splitlines()[0] == "20"
     assert "m=1" in out and "12" in out
+
+
+def test_omega_profile_counts_each_summed_pair_once(run_cli, family_file):
+    path = family_file(make_family(3, 2, [[1, 2], [1, 3]]))
+    code, out, _ = run_cli("omega", "family", path, "--profile")
+    assert (code, out) == (EXIT_PASS, "1\nm=0: 0\nm=1: 1\nm=2: 0\n")
+    code, out, _ = run_cli("omega", "strict", path, path, "--profile")
+    assert (code, out) == (EXIT_PASS, "2\nm=0: 0\nm=1: 2\nm=2: 0\n")
+
+
+@st.composite
+def omega_inputs(draw):
+    """A mode and its families on n <= 6; strict and cross pairs share the
+    member size, and so members, half of the time."""
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["family", "cross", "strict"]))
+
+    def family(k):
+        universe = [sum(1 << x for x in c) for c in combinations(range(n), k)]
+        masks = draw(st.lists(st.sampled_from(universe), unique=True, max_size=8))
+        return Family.from_bitmasks(n, k, masks)
+
+    k = draw(st.integers(1, n))
+    if mode == "family":
+        return mode, [family(k)]
+    return mode, [family(k), family(draw(st.sampled_from([k, draw(st.integers(1, n))])))]
+
+
+def omega_result(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["omega", *argv, "--json"]) == EXIT_PASS
+    return json.loads(out.getvalue())["result"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega_inputs())
+def test_omega_profile_sums_to_the_value(case):
+    # the histogram counts exactly the pairs the value sums, in every mode
+    mode, families = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, fam in enumerate(families):
+            paths.append(str(Path(tmp) / f"{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(family_to_dict(fam)))
+        meet = omega_result(mode, *paths, "--profile")
+        unit = omega_result(mode, *paths, "--weight", "unit")
+    counts = [int(c) for c in meet["profile"]]
+    assert sum(counts) == int(unit["value"])
+    assert sum(m * c for m, c in enumerate(counts)) == int(meet["value"])
 
 
 def test_omega_strict_mode(run_cli, family_file):
@@ -474,9 +538,15 @@ def test_each_command_imports_only_its_engine(tmp_path):
     assert engines_loaded(tmp_path) == "[]"
     assert engines_loaded(tmp_path, ["omega", "family", "fam.json", "--profile"]) == "['weights']"
     assert engines_loaded(tmp_path, ["verify", "identity", "--n-max", "6"]) == "['bounds']"
-    # search reads cyclic only for the interval check of verify extremal
+    # search reads cyclic only to sweep the interval trace of a witness that
+    # is not a star (or a star pair on one center)
     search_engines = "['bounds', 'search', 'weights']"
     assert engines_loaded(tmp_path, ["search-exact", "6", "2"]) == search_engines
+    for argv in (["8", "3", "--budget", "60"], ["7", "3", "2", "--budget", "40"]):
+        assert engines_loaded(tmp_path, ["verify", "extremal", *argv]) == search_engines
+    # (6,3) has a second class, the 3-sets of a 5-set, which is swept
+    all_engines = "['bounds', 'cyclic', 'search', 'weights']"
+    assert engines_loaded(tmp_path, ["verify", "extremal", "6", "3"]) == all_engines
 
 
 def test_star_import_binds_every_public_name():
@@ -702,7 +772,7 @@ CONTRACT = [
     ("bound family 6 3 2", "436b3d606e37d4cb"),
     ("omega family a.json", "f772e071cdb1bbeb"),
     ("omega family b.json --weight unit", "94487de386859cf8"),
-    ("omega family b.json --profile", "378ef4eeb9d03261"),
+    ("omega family b.json --profile", "7813a957651697ab"),
     ("omega cross a.json c.json", "95c6be4950232819"),
     ("omega cross a.json c.json --profile", "41714b790a8a8a46"),
     ("omega strict a.json a.json", "6980306f29c194f0"),

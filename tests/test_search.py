@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
+from intersum.cyclic import _interval_patterns
 from intersum.errors import (
     BadSizeError,
     CounterexampleError,
@@ -23,7 +24,8 @@ from intersum import search
 from intersum.search import (
     HeuristicConfig,
     SearchResult,
-    _interval_patterns,
+    _bits_list,
+    _element_tuples,
     _witness_classes,
     heuristic_max,
     max_omega_cross,
@@ -405,6 +407,13 @@ def test_exact_pinned(config, value, witnesses, report):
     assert (r.best_value, *digests) == (value, witnesses, report)
 
 
+def test_element_tuples_match_the_bit_lists():
+    # the searches index k-sets by ksubset_masks order and read their elements here
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            assert _element_tuples(n, k) == [tuple(_bits_list(m)) for m in ksubset_masks(n, k)]
+
+
 def test_budget_range():
     searches = (
         lambda b: max_omega_intersecting(5, 2, budget=b),
@@ -584,6 +593,17 @@ def pattern_pairs(draw):
 def test_interval_pattern_pair_matches_oracle(pair):
     fa, fb = pair
     assert _interval_patterns(fa.n, [fa, fb]) == pattern_pair_oracle(fa, fb)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_full_stars_show_the_interval_pattern(n):
+    """uniqueness_report's star argument against the sweep: every full star
+    with member size below n, and every pair of them on one center, passes
+    _interval_patterns.  One sweep over every member size at a center covers
+    all those pairs, as the check asks for one position common to all the
+    families it is given."""
+    for x in range(1, n + 1):
+        assert _interval_patterns(n, [star(n, k, x) for k in range(1, n)])
 
 
 def test_interval_pattern_oracle_cases():
