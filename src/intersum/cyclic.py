@@ -14,9 +14,10 @@ the l-window at s + k - m: their meet is then the m-window at s + k - m,
 which ends where A ends and starts where B starts.  katona_verify checks
 that at most k of an order's n k-windows pairwise meet (n >= 2k), and that
 for n > 2k every maximum shares an element.  double_count_check counts the
-representable pairs two ways: per pair across all orders, and per order
-across pairs.  _interval_patterns tests the searches' witnesses for the star
-pattern: in every order, a family's member windows are those through one position.
+representable pairs of every meet size two ways, per pair across all orders
+and per order across pairs, in one pass over the orders.  _interval_patterns
+tests the searches' witnesses for the star pattern: in every order, a
+family's member windows are those through one position.
 """
 from __future__ import annotations
 
@@ -228,16 +229,24 @@ class DoubleCountReport:
     ok: bool
 
 
-def double_count_check(fam_a: Family, fam_b: Family, m: int) -> DoubleCountReport:
-    """Count, over all (n-1)! cyclic permutations, the representable pairs
-    with meet size exactly m, and compare against the closed-form census.
+def double_count_check(fam_a: Family, fam_b: Family) -> tuple[DoubleCountReport, ...]:
+    """Census, over all (n-1)! cycle orders, of the representable pairs of
+    each meet size m = 1..min(k, l): one report per m, in ascending m.
 
     Every ordered pair (A, B) with |A ∩ B| = m >= 1 is representable in
-    exactly (n-k-l+m)! (k-m)! m! (l-m)! cyclic permutations, so the sweep
-    total must equal that factor times the number of such pairs.  Within one
-    permutation the meets of distinct representable pairs must be distinct,
-    and when the families are cross-intersecting with n >= k + l, at most m
-    distinct meets of size m can occur per permutation.
+    exactly (n-k-l+m)! (k-m)! m! (l-m)! orders, so the sweep total must
+    equal that factor times the number of such pairs; when the families are
+    cross-intersecting with n >= k + l, at most m distinct meets of size m
+    occur in one order.  Each order's windows are built once and read at
+    every shift k - m, so an order costs n dictionary lookups per m.
+
+    The one-start argument: a t-window with t < n has one start, and the
+    meet of a hit at s is the m-window at s + k - m, so hits at distinct
+    starts have distinct meets.  An order's meet count is thus its hit
+    count, and meets_distinct_ok is True by this argument.  When
+    k + l - m > n the l-window at s + k - m wraps round onto A and meets it
+    in more than m elements, so shift k - m looks up the pairs of meet size
+    m alone.
 
     Needs member sizes 1 <= k, l < n (HypothesisError otherwise): a member of
     size n is the whole cycle, which is no interval, so the census does not
@@ -255,70 +264,61 @@ def double_count_check(fam_a: Family, fam_b: Family, m: int) -> DoubleCountRepor
         raise HypothesisError(
             f"double counting needs member sizes below n; got k={k}, l={l}, n={n}"
         )
-    if not 1 <= m <= min(k, l):
-        raise HypothesisError(f"meet size m={m} out of range 1..{min(k, l)}")
 
-    pairs = [
-        (a, b)
-        for a in fam_a.bitmasks
-        for b in fam_b.bitmasks
-        if (a & b).bit_count() == m
-    ]
-    check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    meet_of = [a & b for a, b in pairs]
-    per_pair = [0] * len(pairs)
-    meets_distinct = True
-    bound_ok = True
-    max_meets = 0
-    # With 1 <= k, l < n a k- or l-interval has exactly one start.  A pair
-    # (A, B) with |A ∩ B| = m is then representable exactly when A is the
-    # k-window at some s and B the l-window at s + k - m: their meet is the
-    # m-window at s + k - m, which ends at A's right end and starts at B's
-    # left end.  So one order costs n dict lookups, whatever the pair count.
-    shift = k - m
+    sizes = range(1, min(k, l) + 1)
+    # every meeting pair, indexed once among the pairs of its meet size
+    index: dict[int, dict[tuple[int, int], int]] = {m: {} for m in sizes}
+    for a in fam_a.bitmasks:
+        for b in fam_b.bitmasks:
+            m = (a & b).bit_count()
+            if m:
+                pairs = index[m]
+                pairs[a, b] = len(pairs)
+    per_pair = {m: [0] * len(index[m]) for m in sizes}
+    most_hits = dict.fromkeys(sizes, 0)
     for order in _orders(n):
-        b_windows = _windows(order, l)
-        window_pairs = zip(_windows(order, k), b_windows[shift:] + b_windows[:shift])
-        hits = [i for i in map(index.get, window_pairs) if i is not None]
-        for i in hits:
-            per_pair[i] += 1
-        meets = {meet_of[i] for i in hits}
-        max_meets = max(max_meets, len(meets))
-        if check_bound and len(meets) > m:
-            bound_ok = False
-        if len(meets) != len(hits):
-            meets_distinct = False
+        a_windows = _windows(order, k)
+        b_windows = _windows(order, l) * 2  # b_windows[s + k - m] for every s < n
+        for m in sizes:
+            hits = [
+                i for i in map(index[m].get, zip(a_windows, b_windows[k - m :])) if i is not None
+            ]
+            counts = per_pair[m]
+            for i in hits:
+                counts[i] += 1
+            if len(hits) > most_hits[m]:
+                most_hits[m] = len(hits)
 
-    if n - k - l + m >= 0:
-        factor = (
-            factorial(n - k - l + m) * factorial(k - m) * factorial(m) * factorial(l - m)
+    check_bound = n >= k + l and is_cross_intersecting(fam_a, fam_b)
+    reports = []
+    for m in sizes:
+        counts = per_pair[m]
+        if n - k - l + m >= 0:
+            factor = (
+                factorial(n - k - l + m) * factorial(k - m) * factorial(m) * factorial(l - m)
+            )
+        else:
+            factor = 0
+        lhs, rhs = sum(counts), len(counts) * factor
+        per_pair_ok = all(c == factor for c in counts)
+        bound_ok = not check_bound or most_hits[m] <= m
+        reports.append(
+            DoubleCountReport(
+                n=n,
+                k=k,
+                l=l,
+                m=m,
+                perms_checked=factorial(n - 1),
+                pair_count=len(counts),
+                per_pair_expected=factor,
+                per_pair_ok=per_pair_ok,
+                lhs_total=lhs,
+                rhs_total=rhs,
+                meets_distinct_ok=True,
+                meet_bound_checked=check_bound,
+                meet_bound_ok=bound_ok,
+                max_meets_in_one_perm=most_hits[m],
+                ok=lhs == rhs and per_pair_ok and bound_ok,
+            )
         )
-    else:
-        factor = 0
-    lhs = sum(per_pair)
-    rhs = len(pairs) * factor
-    per_pair_ok = all(c == factor for c in per_pair)
-    ok = (
-        lhs == rhs
-        and per_pair_ok
-        and meets_distinct
-        and (bound_ok or not check_bound)
-    )
-    return DoubleCountReport(
-        n=n,
-        k=k,
-        l=l,
-        m=m,
-        perms_checked=factorial(n - 1),
-        pair_count=len(pairs),
-        per_pair_expected=factor,
-        per_pair_ok=per_pair_ok,
-        lhs_total=lhs,
-        rhs_total=rhs,
-        meets_distinct_ok=meets_distinct,
-        meet_bound_checked=check_bound,
-        meet_bound_ok=bound_ok if check_bound else True,
-        max_meets_in_one_perm=max_meets,
-        ok=ok,
-    )
+    return tuple(reports)

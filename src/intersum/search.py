@@ -61,7 +61,6 @@ from .setcore import (
     frozen_record,
     is_star,
     ksubset_masks,
-    star,
 )
 from .weights import omega_cross, omega_family
 
@@ -301,7 +300,7 @@ def max_omega_intersecting(
             blocked |= up[w]
         keep.append(~blocked)
 
-    best = omega_family(star(n, k, 1))
+    best = bound  # the star's value
     raw: list[tuple[int, tuple[int, ...]]] = []
     r: list[int] = []
     deg = [0] * n
@@ -439,7 +438,7 @@ def max_omega_cross(
         suffix.append(row)
     suffix.reverse()
 
-    best = omega_cross(star(n, k, 1), star(n, l, 1))
+    best = bound  # the common-centre star pair's value
     raw: list[tuple[int, tuple[int, ...], int]] = []
     s_idx: list[int] = []
     d_s = [0] * n

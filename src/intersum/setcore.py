@@ -99,21 +99,19 @@ def frozen_record(cls=None, *, uncompared: tuple[str, ...] = ()):
 
     The fields are the names the class body annotates, in order, and a value
     assigned to one in the body is its default.  Each method below is added
-    unless the body defines it: __init__ (arguments by position or keyword,
-    then __post_init__ if the class has one), __repr__, and __eq__ and
-    __hash__ over the fields not named in `uncompared`, the hash being that
-    of their tuple.  __reduce__ rebuilds a record through __init__, and
-    assigning or deleting an attribute raises AttributeError.  The methods
-    are closures over the field names, so unlike dataclasses no code is
-    compiled when a record class is defined, and neither `dataclasses` nor
-    `inspect` is imported.
+    unless the body defines it: __init__ (arguments by position or keyword),
+    __repr__, and __eq__ and __hash__ over the fields not named in
+    `uncompared`, the hash being that of their tuple.  __reduce__ rebuilds a
+    record through __init__, and assigning or deleting an attribute raises
+    AttributeError.  The methods are closures over the field names, so unlike
+    dataclasses no code is compiled when a record class is defined, and
+    neither `dataclasses` nor `inspect` is imported.
     """
     if cls is None:
         return lambda c: frozen_record(c, uncompared=uncompared)
     body = cls.__dict__
     names = tuple(body.get("__annotations__", ()))
     defaults = {name: body[name] for name in names if name in body}
-    post_init = getattr(cls, "__post_init__", None)
     compared = tuple(name for name in names if name not in uncompared)
     if len(compared) > 1:
         key = attrgetter(*compared)
@@ -131,8 +129,6 @@ def frozen_record(cls=None, *, uncompared: tuple[str, ...] = ()):
         ):
             raise TypeError(f"{title}() takes the fields {', '.join(names)}, each once")
         self.__dict__.update(values)
-        if post_init is not None:
-            post_init(self)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

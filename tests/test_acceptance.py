@@ -122,14 +122,17 @@ def test_ac4_cyclic_double_counting():
         (6, 2): (5, 48, 240),
     }
     ok = True
-    for (n, m), (pairs, per_pair, total) in sorted(expected.items()):
-        rep = double_count_check(star(n, 2, 1), star(n, 2, 1), m)
-        ok &= rep.ok
-        ok &= rep.pair_count == pairs and rep.per_pair_expected == per_pair
-        ok &= rep.lhs_total == rep.rhs_total == total
-        ok &= rep.perms_checked == math.factorial(n - 1)
+    for n in (5, 6):
+        reps = double_count_check(star(n, 2, 1), star(n, 2, 1))
+        ok &= [rep.m for rep in reps] == [1, 2]
+        for rep in reps:
+            pairs, per_pair, total = expected[n, rep.m]
+            ok &= rep.ok
+            ok &= rep.pair_count == pairs and rep.per_pair_expected == per_pair
+            ok &= rep.lhs_total == rep.rhs_total == total
+            ok &= rep.perms_checked == math.factorial(n - 1)
     elapsed, in_budget = clock()
-    verdict("AC4", ok and in_budget, f"4 star sweeps, totals 24/48/120/240; {elapsed:.2f}s")
+    verdict("AC4", ok and in_budget, f"2 star sweeps, totals 24/48/120/240; {elapsed:.2f}s")
 
 
 def test_ac5_interval_maxima():

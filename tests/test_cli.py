@@ -789,6 +789,8 @@ CONTRACT = [
     ("verify doublecount 6 3 2 --workers 2", "a6349f2a9cecbdd5"),
     ("verify doublecount 3 3 3", "87dc1200d8018493"),
     ("verify doublecount 9 3 2", "732158a8d8233425"),
+    ("verify doublecount 8 3 2", "2753a23c9c09269f"),
+    ("verify doublecount 5 4 4", "1dbda468d0c08e67"),
     ("verify identity --n-max 10", "bd1357441ef6b71c"),
     ("verify identity --n-max 1", "569c4b5c3b633242"),
     ("verify identity --n-max 64", "271fd89048a933fb"),

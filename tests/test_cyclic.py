@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intersum import cyclic
 from intersum.bounds import pm_star_count
 from intersum.cyclic import (
     DoubleCountReport,
@@ -76,8 +77,8 @@ DC_TABLE = {
 @pytest.mark.parametrize("n,k,l,m", sorted(DC_TABLE))
 def test_double_count_star_pairs(n, k, l, m):
     pairs, per_pair, total = DC_TABLE[(n, k, l, m)]
-    rep = double_count_check(star(n, k, 1), star(n, l, 1), m)
-    assert rep.ok
+    rep = double_count_check(star(n, k, 1), star(n, l, 1))[m - 1]
+    assert rep.ok and rep.m == m
     assert rep.pair_count == pairs == pm_star_count(n, k, l, m)
     assert rep.per_pair_expected == per_pair
     assert rep.lhs_total == rep.rhs_total == total == pairs * per_pair
@@ -89,24 +90,25 @@ def test_double_count_star_pairs(n, k, l, m):
 
 def test_double_count_guards():
     with pytest.raises(TooLargeError):
-        double_count_check(star(9, 2, 1), star(9, 2, 1), 1)
+        double_count_check(star(9, 2, 1), star(9, 2, 1))
     with pytest.raises(GroundMismatchError):
-        double_count_check(star(5, 2, 1), star(6, 2, 1), 1)
-    with pytest.raises(HypothesisError):
-        double_count_check(star(5, 2, 1), star(5, 2, 1), 3)
+        double_count_check(star(5, 2, 1), star(6, 2, 1))
 
 
 @pytest.mark.parametrize("n,k,l,m", [(8, 8, 2, 2), (8, 2, 8, 2), (3, 3, 3, 3), (3, 3, 1, 1)])
 def test_double_count_refuses_whole_cycle_members(n, k, l, m):
-    # a member of size n is the whole cycle, never an interval: the census does not apply
+    # a member of size n is the whole cycle, never an interval: the census does
+    # not apply at any meet size, the largest, m = min(k, l), included
+    assert m == min(k, l)
     with pytest.raises(HypothesisError, match="below n"):
-        double_count_check(star(n, k, 1), star(n, l, 1), m)
+        double_count_check(star(n, k, 1), star(n, l, 1))
 
 
 def test_double_count_non_star_inputs_still_count():
     # arbitrary families are censused too; only the meet bound needs the cross property
     a = make_family(5, 2, [[1, 2], [3, 4]])
-    rep = double_count_check(a, a, 1)
+    rep, _ = double_count_check(a, a)
+    assert rep.m == 1
     assert rep.pair_count == 0  # no ordered pair meets in exactly one element
     assert rep.lhs_total == rep.rhs_total == 0
     assert not rep.meet_bound_checked  # family is not cross-intersecting with itself
@@ -293,10 +295,29 @@ def family_pairs(draw, max_n=7, max_members=8):
 @example((Family.from_bitmasks(6, 3, []), star(6, 2, 1)))
 @example((make_family(6, 2, [[1, 2], [3, 4], [5, 6]]), make_family(6, 2, [[1, 2], [3, 4]])))
 @example((make_family(7, 3, [[1, 2, 3], [2, 3, 4], [5, 6, 7]]), star(7, 2, 3)))
+@example((star(5, 4, 1), star(5, 4, 2)))  # k + l - m > n for m < 3: wrap-around windows
 def test_double_count_matches_oracle(fams):
     fam_a, fam_b = fams
-    for m in range(1, min(fam_a.k, fam_b.k) + 1):
-        assert double_count_check(fam_a, fam_b, m) == oracle_double_count(fam_a, fam_b, m)
+    sizes = range(1, min(fam_a.k, fam_b.k) + 1)
+    expected = tuple(oracle_double_count(fam_a, fam_b, m) for m in sizes)
+    assert double_count_check(fam_a, fam_b) == expected
+
+
+def test_double_count_walks_the_orders_once(monkeypatch):
+    calls, orders = 0, 0
+
+    def counted(n):
+        nonlocal calls, orders
+        calls += 1
+        for order in walk(n):
+            orders += 1
+            yield order
+
+    walk = cyclic._orders
+    monkeypatch.setattr(cyclic, "_orders", counted)
+    reports = double_count_check(star(7, 3, 1), star(7, 3, 1))
+    assert [r.m for r in reports] == [1, 2, 3]
+    assert (calls, orders) == (1, math.factorial(6))
 
 
 KATONA_CONFIGS = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
