@@ -21,7 +21,10 @@ be decided.  Tied winners are relabelled by degree order before they are
 canonicalised, so each distinct one is canonicalised once.  A budget caps
 C(n, k) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.  Each exact search first
 asks bounds for its closed form, which refuses parameters outside the proved
-regime, so the regime is decided there alone.
+regime, so the regime is decided there alone.  The closed form also seeds the
+incumbent, and a leaf is recorded only when it reaches the incumbent, so a
+tight result always has a witness; if no family attains the closed form, the
+search runs again from 0 and reports the true maximum, not tight.
 
 The heuristic is plain simulated annealing over families, restarted from
 empty.  Up to _SA_ADJ_CAP k-sets it adds a greedy completion pass, so short
@@ -300,7 +303,6 @@ def max_omega_intersecting(
             blocked |= up[w]
         keep.append(~blocked)
 
-    best = bound  # the star's value
     raw: list[tuple[int, tuple[int, ...]]] = []
     r: list[int] = []
     deg = [0] * n
@@ -329,9 +331,10 @@ def max_omega_intersecting(
         r.pop()
         expand(r_val, p_mask & ~up[v])
 
-    expand(0, full)
-    # The star on element 1 is shifted and reached unpruned at the seed
-    # value, so at least one winner is always recorded.
+    for best in (bound, 0):  # 0 only if no family attains the closed form
+        expand(0, full)
+        if raw:
+            break
     winners = [([universe[i] for i in idxs],) for val, idxs in raw if val == best]
     witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
     return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
@@ -438,7 +441,6 @@ def max_omega_cross(
         suffix.append(row)
     suffix.reverse()
 
-    best = bound  # the common-centre star pair's value
     raw: list[tuple[int, tuple[int, ...], int]] = []
     s_idx: list[int] = []
     d_s = [0] * n
@@ -471,9 +473,10 @@ def max_omega_cross(
             sweep(i + 1, pmask, val, d_p)
 
     full_p = (1 << len(partner)) - 1
-    sweep(0, full_p, 0, [e.bit_count() for e in p_by_elem])
-    # The star pair is closed (each side is the other's maximal partner) for
-    # n >= k + l, so its leaf is visited and the seed value is recorded.
+    for best in (bound, 0):  # 0 only if no pair attains the closed form
+        sweep(0, full_p, 0, [e.bit_count() for e in p_by_elem])
+        if raw:
+            break
     winners = [
         ([partner[j] for j in _bits_list(p)], [swept[i] for i in s])
         for val, s, p in raw

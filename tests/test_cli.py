@@ -589,6 +589,22 @@ def test_verify_extremal_boundary(run_cli):
     assert [l.split(":")[0] for l in out.splitlines()] == ["PASS", "PASS", "INFO"]
 
 
+@pytest.mark.parametrize("argv", [(5, 2), (4, 2), (5, 2, 2), (4, 2, 2)])
+def test_verify_extremal_fails_on_an_unattained_bound(run_cli, monkeypatch, argv):
+    """A closed form one above the true maximum fails, boundary configs too."""
+    kind = "cross" if len(argv) == 3 else "intersecting"
+    real = getattr(search, f"omega_{kind}_bound")
+    monkeypatch.setattr(
+        search,
+        f"omega_{kind}_bound",
+        lambda *a: real(*a)._replace(value=real(*a).value + 1),
+    )
+    code, out, _ = run_cli("verify", "extremal", *argv)
+    assert code == EXIT_FAIL
+    first, second = out.splitlines()[:2]
+    assert first.startswith("FAIL: exact maximum") and second.startswith("PASS")
+
+
 # --- search ---
 
 

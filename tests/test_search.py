@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intersum.bounds import omega_cross_bound, omega_intersecting_bound
+from intersum.bounds import BoundValue, omega_cross_bound, omega_intersecting_bound
 from intersum.cyclic import _interval_patterns
 from intersum.errors import (
     BadSizeError,
@@ -301,6 +301,33 @@ def test_exact_cross_l_below_k_sole_star_pair(n, k, l):
     assert r.best_value == omega_cross_bound(n, k, l).value and r.tight
     [(wa, wb)] = r.witnesses
     assert (wa.bitmasks, wb.bitmasks) == (star(n, k, 1).bitmasks, star(n, l, 1).bitmasks)
+
+
+# --- a bound no family attains ---
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (4, 2), (6, 3), (6, 2)])
+def test_exact_family_inflated_bound_is_not_tight(n, k, monkeypatch):
+    """The closed form seeds the search, so it must still find the true
+    maximum, not tight, when no family attains the bound it is given."""
+    true = max_omega_intersecting(n, k)
+    monkeypatch.setattr(
+        search, "omega_intersecting_bound", lambda n, k: BoundValue(true.bound + 1, (n, k))
+    )
+    r = max_omega_intersecting(n, k)
+    assert r.bound == true.bound + 1 and not r.tight
+    assert r.best_value == true.best_value and r.witnesses == true.witnesses
+
+
+@pytest.mark.parametrize("n,k,l", [(5, 2, 2), (4, 2, 2), (6, 3, 2), (3, 2, 1)])
+def test_exact_cross_inflated_bound_is_not_tight(n, k, l, monkeypatch):
+    true = max_omega_cross(n, k, l)
+    monkeypatch.setattr(
+        search, "omega_cross_bound", lambda n, k, l: BoundValue(true.bound + 1, (n, k, l))
+    )
+    r = max_omega_cross(n, k, l)
+    assert r.bound == true.bound + 1 and not r.tight
+    assert r.best_value == true.best_value and r.witnesses == true.witnesses
 
 
 def _bits(mask):
