@@ -14,9 +14,11 @@ witnesses, runtimes) stay native.
 Exit codes: 0 all checks pass, 1 mathematical failure (a counterexample),
 2 usage or hypothesis error (including a --budget below 1 and an --out file
 that cannot be written), 3 resource cutoff (including the annealer's step cap,
-search.MAX_ANNEAL_STEPS, a --budget above search.MAX_EXHAUSTIVE_BUDGET, and
-a bound n above MAX_BOUND_GROUND), 4 internal error (the program's own
-bookkeeping disagreed with a recount; a bug, never a finding).
+search.MAX_ANNEAL_STEPS, its universe cap, C(n,k) above 100 000, and the
+cross annealer's B-side cap, C(n,l) above 2048; a --budget above
+search.MAX_EXHAUSTIVE_BUDGET; and a bound n above MAX_BOUND_GROUND),
+4 internal error (the program's own bookkeeping disagreed with a recount; a
+bug, never a finding).
 """
 from __future__ import annotations
 

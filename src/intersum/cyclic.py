@@ -258,8 +258,6 @@ def double_count_check(fam_a: Family, fam_b: Family) -> tuple[DoubleCountReport,
         raise TooLargeError(
             f"double_count_check sweeps (n-1)! permutations; limit n <= {MAX_SWEEP_GROUND}"
         )
-    if n < 2:
-        raise HypothesisError(f"double counting needs n >= 2, got {n}")
     if k >= n or l >= n:
         raise HypothesisError(
             f"double counting needs member sizes below n; got k={k}, l={l}, n={n}"

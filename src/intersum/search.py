@@ -17,14 +17,16 @@ double count over element degrees, not pair sums, so a node costs O(n)
 big-int operations: the intersecting bound is
 r_val + sum_x (deg[x] p(x) + C(p(x), 2)) over the candidates P, and the cross
 bound is val + sum_x suffix[i][x] d_A(x), suffix counting the l-sets still to
-be decided.  Tied winners are relabelled by degree order before they are
-canonicalised, so each distinct one is canonicalised once.  A budget caps
-C(n, k) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.  Each exact search first
-asks bounds for its closed form, which refuses parameters outside the proved
-regime, so the regime is decided there alone.  The closed form also seeds the
-incumbent, and a leaf is recorded only when it reaches the incumbent, so a
-tight result always has a witness; if no family attains the closed form, the
-search runs again from 0 and reports the true maximum, not tight.
+be decided.  Each exact search first asks bounds for its closed form, which
+refuses parameters outside the proved regime, so the regime is decided there
+alone.  The closed form also seeds the incumbent, and a leaf is recorded only
+when it reaches the incumbent, so a tight result always has a witness; if no
+family attains the closed form, the search runs again from 0 and reports the
+true maximum, not tight.  So few raw winners are recorded (1 to 6 at every
+benchmark and README-table config, 35 at (5,3,2)) that each is canonicalised
+as it stands.  A budget caps C(n, k) and must lie in
+1..MAX_EXHAUSTIVE_BUDGET.  Every search, exact or annealing, takes its k-set
+universe from _universe, the one place that refuses an oversized C(n, k).
 
 The heuristic is plain simulated annealing over families, restarted from
 empty.  Up to _SA_ADJ_CAP k-sets it adds a greedy completion pass, so short
@@ -132,13 +134,18 @@ def _check_budget(budget: int) -> None:
         )
 
 
-def _universe(n: int, k: int, budget: int, kind: str) -> tuple[int, ...]:
-    """The k-set masks of a search, refused before they are built when
-    C(n, k) exceeds its kind of budget."""
+def _universe(
+    n: int, k: int, cap: int, kind: str
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]:
+    """The k-set universe of a search: its masks in ascending order, each
+    mask's elements (_element_tuples) and, for each element, the bitset of
+    the indices holding it (_columns).  Refused, before anything is built,
+    when C(n, k) exceeds cap, the search's kind of limit."""
     count = math.comb(n, k)
-    if count > budget:
-        raise TooLargeError(f"C({n},{k}) = {count} exceeds the {kind} budget {budget}")
-    return ksubset_masks(n, k)
+    if count > cap:
+        raise TooLargeError(f"C({n},{k}) = {count} exceeds the {kind} {cap}")
+    masks = ksubset_masks(n, k)
+    return masks, _element_tuples(n, k), _columns(masks, n)
 
 
 def _finish(
@@ -201,37 +208,15 @@ def _meeting(by_elem: list[int], xs: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _degree_sorted(n: int, colours) -> tuple[tuple[int, ...], ...]:
-    """Relabel nonempty member-mask lists jointly so that elements come in
-    descending order of their degree vectors (d_F(x) for each list F in
-    turn), ties in element order; each list comes back as a sorted mask tuple.
-
-    Works on binary digit strings: digit j of a mask is element n - 1 - j, so
-    a list's digit columns hold its degrees, and reading the columns back in
-    the new order spells the relabelled masks.
-    """
-    fmt = f"0{n}b"
-    grids = [list(zip(*[format(m, fmt) for m in masks])) for masks in colours]
-    # ascending degree vectors go to the high digits, ties by digit
-    order = sorted(range(n), key=lambda j: [g[j].count("1") for g in grids])
-    return tuple(
-        tuple(sorted(int("".join(digits), 2) for digits in zip(*[g[j] for j in order])))
-        for g in grids
-    )
-
-
 def _witness_classes(n: int, sizes: tuple[int, ...], raw) -> tuple[tuple[Family, ...], ...]:
     """Collapse raw optimal winners to their distinct relabelling classes.
 
     Each winner is one member-mask list per family, with member sizes sizes;
-    the families of a winner are relabelled jointly.  Tied winners are mostly
-    relabellings of one another, so each is first relabelled by degree order
-    (_degree_sorted) and only the distinct results are canonicalised: a
-    relabelling keeps the class, and the canonical form still decides
-    equality.  Classes come in ascending order of their canonical masks, and
-    families are built only for the distinct ones.
+    the families of a winner are relabelled jointly, and the canonical form
+    decides equality.  Classes come in ascending order of their canonical
+    masks, and families are built only for the distinct ones.
     """
-    keys = {_canonical_masks(n, colours) for colours in {_degree_sorted(n, c) for c in raw}}
+    keys = {_canonical_masks(n, c) for c in raw}
     return tuple(
         tuple(Family.from_bitmasks(n, k, masks) for k, masks in zip(sizes, key))
         for key in sorted(keys)
@@ -278,10 +263,8 @@ def max_omega_intersecting(
     _check_sizes(n, k)
     _check_budget(budget)
     bound = omega_intersecting_bound(n, k).value
-    universe = _universe(n, k, budget, "exhaustive")
+    universe, elems, by_elem = _universe(n, k, budget, "exhaustive budget")
     count = len(universe)
-    elems = _element_tuples(n, k)
-    by_elem = _columns(universe, n)
     index = {m: i for i, m in enumerate(universe)}
     full = (1 << count) - 1
     # up[v]: v and every set above it in the componentwise order, built from
@@ -352,7 +335,7 @@ def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> 
     _check_sizes(n, k)
     _check_budget(budget)
     bound = omega_intersecting_bound(n, k).value
-    universe = _universe(n, k, min(budget, NAIVE_BUDGET), "naive")
+    universe, _, _ = _universe(n, k, min(budget, NAIVE_BUDGET), "naive budget")
     big_n = len(universe)
     table = [[(a & b).bit_count() for b in universe] for a in universe]
     adj = [0] * big_n
@@ -427,11 +410,9 @@ def max_omega_cross(
     _check_sizes(n, l)
     _check_budget(budget)
     bound = omega_cross_bound(n, k, l).value
-    partner = _universe(n, k, budget, "exhaustive")
-    swept = ksubset_masks(n, l)
+    partner, _, p_by_elem = _universe(n, k, budget, "exhaustive budget")
+    swept, elems, _ = _universe(n, l, budget, "exhaustive budget")
     ns = len(swept)
-    elems = _element_tuples(n, l)
-    p_by_elem = _columns(partner, n)
     compat = [_meeting(p_by_elem, xs) for xs in elems]
     suffix = [[0] * n]
     for xs in reversed(elems):
@@ -585,20 +566,12 @@ def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int
     contain x, and no completion runs: the best family visited is returned
     as it stands, and may fall far short of the bound.
     """
-    count = math.comb(n, k)
-    if count > _SA_UNIVERSE_CAP:
-        raise TooLargeError(
-            f"annealer needs the k-set universe in memory; C({n},{k}) = {count}"
-            f" exceeds {_SA_UNIVERSE_CAP}"
-        )
-    universe = ksubset_masks(n, k)
-    elems = _element_tuples(n, k)
+    universe, elems, by_elem = _universe(n, k, _SA_UNIVERSE_CAP, "annealer universe cap")
     big_n = len(universe)
     full = (1 << big_n) - 1
-    use_adj = count <= _SA_ADJ_CAP
+    use_adj = big_n <= _SA_ADJ_CAP
     adj: list[int] = []
     if use_adj:
-        by_elem = _columns(universe, n)
         adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
 
     def complete(cmask: int, val: int, members: list[int], deg: list[int]) -> None:
@@ -761,16 +734,10 @@ def _anneal_cross(
     moves by the sum of d_B over that k-set, O(k); only a move that changes
     B recounts d_B, in n popcounts.
     """
-    ca, cb = math.comb(n, k), math.comb(n, l)
-    if ca > _SA_UNIVERSE_CAP or cb > _SA_CROSS_B_CAP:
-        raise TooLargeError(
-            f"cross annealer needs both universes in memory; C({n},{k}) = {ca},"
-            f" C({n},{l}) = {cb} exceed caps {_SA_UNIVERSE_CAP}/{_SA_CROSS_B_CAP}"
-        )
-    ua = ksubset_masks(n, k)
-    ub = ksubset_masks(n, l)
-    elems_a = _element_tuples(n, k)
-    b_by_elem = _columns(ub, n)
+    # the B side first: its cap is the smaller, so nothing large is built
+    # before a refusal
+    ub, _, b_by_elem = _universe(n, l, _SA_CROSS_B_CAP, "cross annealer B-side cap")
+    ua, elems_a, _ = _universe(n, k, _SA_UNIVERSE_CAP, "annealer universe cap")
     na = len(ua)
     full_b = (1 << len(ub)) - 1
 

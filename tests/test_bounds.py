@@ -98,6 +98,8 @@ def test_pm_star_count_names_the_bad_parameter():
     for args, bad in (((5, 2, 0, 1), "l=0"), ((5, 0, 2, 1), "k=0"), ((0, 2, 2, 1), "n=0")):
         with pytest.raises(BadSizeError, match=f"^{bad[0]} must be a positive integer, got {bad}$"):
             pm_star_count(*args)
+    with pytest.raises(BadSizeError, match="^meet size m must be nonnegative, got -1$"):
+        pm_star_count(5, 2, 2, -1)
 
 
 @given(st.integers(2, 16), st.data())

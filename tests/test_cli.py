@@ -703,6 +703,9 @@ def test_search_heuristic_bad_config(run_cli):
         for flag in ("--temperature", "--decay"):
             code, out, _ = run_cli("search-heuristic", 6, 2, flag, bad, "--json")
             assert (code, out) == (EXIT_USAGE, "")
+    code, out, err = run_cli("search-heuristic", 6, 2, 3, "--json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "k >= l" in err and "Traceback" not in err
 
 
 def test_search_heuristic_step_cap(run_cli):
@@ -712,6 +715,24 @@ def test_search_heuristic_step_cap(run_cli):
         code, out, err = run_cli(*args)
         assert (code, out) == (EXIT_RESOURCE, "")
         assert "step cap" in err
+
+
+def test_search_heuristic_universe_caps(run_cli, monkeypatch):
+    """An annealer universe over its cap exits 3 before any k-set is built;
+    the cross annealer checks its B side first."""
+
+    def refuse(n, k):
+        raise AssertionError("universe built")
+
+    monkeypatch.setattr(search, "ksubset_masks", refuse)
+    cases = [
+        ((30, 5), f"C(30,5) = 142506 exceeds the annealer universe cap {search._SA_UNIVERSE_CAP}"),
+        ((15, 5, 5), f"C(15,5) = 3003 exceeds the cross annealer B-side cap {search._SA_CROSS_B_CAP}"),
+    ]
+    for config, message in cases:
+        code, out, err = run_cli("search-heuristic", *config, "--json")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert message in err and "Traceback" not in err
 
 
 def test_search_heuristic_drift_exits_internal(run_cli, monkeypatch):

@@ -93,6 +93,9 @@ def test_double_count_guards():
         double_count_check(star(9, 2, 1), star(9, 2, 1))
     with pytest.raises(GroundMismatchError):
         double_count_check(star(5, 2, 1), star(6, 2, 1))
+    # n = 1 leaves no member size below n
+    with pytest.raises(HypothesisError, match="below n"):
+        double_count_check(star(1, 1, 1), star(1, 1, 1))
 
 
 @pytest.mark.parametrize("n,k,l,m", [(8, 8, 2, 2), (8, 2, 8, 2), (3, 3, 3, 3), (3, 3, 1, 1)])

@@ -70,7 +70,8 @@ def test_pair_classes_keep_equal_fingerprints_apart():
 
 
 def classes_one_by_one(n, raw):
-    """Oracle for the degree-order collapse: canonicalise every raw winner."""
+    """Oracle for the witness classes: the distinct canonical forms of the
+    raw winners, each canonicalised on its own, in ascending order."""
     return sorted({_canonical_masks(n, colours) for colours in raw})
 
 
@@ -79,8 +80,8 @@ def raw_winners(draw):
     """Raw winners on n <= 7 with one or two member lists each, drawn as
     random relabellings of up to three base winners.  A base list is a few
     random k-sets, or those closed under the rotation x -> x + 1 (mod n),
-    which gives every element the same degree, so the degree order is all
-    ties and only the canonical form can tell the winners apart."""
+    which gives every element the same degree, so no degree statistic can
+    tell the winners apart and only the canonical form can."""
     n = draw(st.integers(2, 7))
     sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
     full = (1 << n) - 1
@@ -114,11 +115,13 @@ def raw_winners(draw):
 )
 @example((6, (3, 3), [(list(star(6, 3, x).bitmasks),) * 2 for x in (1, 4, 6)]))
 def test_witness_classes_match_one_by_one(case):
-    """Relabelling winners by degree order before canonicalising keeps the
-    classes of canonicalising every winner."""
+    """One class per distinct canonical form of the raw winners, in ascending
+    order of the canonical masks, each built as families of the winners'
+    member sizes on the same ground set."""
     n, sizes, raw = case
-    got = [tuple(f.bitmasks for f in cls) for cls in _witness_classes(n, sizes, raw)]
-    assert got == classes_one_by_one(n, raw)
+    classes = _witness_classes(n, sizes, raw)
+    assert [tuple(f.bitmasks for f in cls) for cls in classes] == classes_one_by_one(n, raw)
+    assert all(tuple((f.n, f.k) for f in cls) == tuple((n, k) for k in sizes) for cls in classes)
 
 
 # --- exact family search ---
@@ -699,6 +702,11 @@ def test_heuristic_step_cap():
     for l in (None, 3):
         with pytest.raises(TooLargeError, match="step cap"):
             heuristic_max(10, 3, l, config=over)
+
+
+def test_heuristic_cross_mode_needs_k_at_least_l():
+    with pytest.raises(HypothesisError, match="k >= l"):
+        heuristic_max(6, 2, 3)
 
 
 def test_heuristic_counterexample_carries_witness():
