@@ -29,11 +29,6 @@ class BoundValue(NamedTuple):
     config: tuple[int, ...]
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HypothesisError(msg)
-
-
 def _check_positive(**params: int) -> None:
     """Reject the first parameter, by name, that is not a positive integer."""
     for name, value in params.items():
@@ -44,7 +39,8 @@ def _check_positive(**params: int) -> None:
 def ekr_bound(n: int, k: int) -> BoundValue:
     """Maximum size of an intersecting family of k-subsets of [n], n >= 2k."""
     _check_positive(n=n, k=k)
-    _require(n >= 2 * k, f"size bound needs n >= 2k, got n={n}, k={k}")
+    if n < 2 * k:
+        raise HypothesisError(f"size bound needs n >= 2k, got n={n}, k={k}")
     return BoundValue(binom(n - 1, k - 1), (n, k))
 
 
@@ -55,7 +51,8 @@ def omega_intersecting_bound(n: int, k: int) -> BoundValue:
     the other n-1 elements is shared by C(n-2,k-2) members.
     """
     _check_positive(n=n, k=k)
-    _require(n >= 2 * k, f"intersecting omega bound needs n >= 2k, got n={n}, k={k}")
+    if n < 2 * k:
+        raise HypothesisError(f"intersecting omega bound needs n >= 2k, got n={n}, k={k}")
     value = binom(binom(n - 1, k - 1), 2) + (n - 1) * binom(binom(n - 2, k - 2), 2)
     return BoundValue(value, (n, k))
 
@@ -70,8 +67,10 @@ def omega_cross_bound(n: int, k: int, l: int) -> BoundValue:
     exact cross search covers agrees with this value.
     """
     _check_positive(n=n, k=k, l=l)
-    _require(k >= l, f"cross bound is stated for k >= l, got k={k}, l={l}")
-    _require(n >= k + l, f"cross bound needs n >= k + l, got n={n}, k={k}, l={l}")
+    if k < l:
+        raise HypothesisError(f"cross bound is stated for k >= l, got k={k}, l={l}")
+    if n < k + l:
+        raise HypothesisError(f"cross bound needs n >= k + l, got n={n}, k={k}, l={l}")
     value = binom(n - 1, k - 1) * binom(n - 1, l - 1) + (n - 1) * binom(n - 2, k - 2) * binom(
         n - 2, l - 2
     )
@@ -82,7 +81,8 @@ def omega_strict_bound(n: int, k: int) -> BoundValue:
     """Maximum of the ordered-pair total excluding equal pairs, one family
     against itself, n >= 2k."""
     _check_positive(n=n, k=k)
-    _require(n >= 2 * k, f"strict bound needs n >= 2k, got n={n}, k={k}")
+    if n < 2 * k:
+        raise HypothesisError(f"strict bound needs n >= 2k, got n={n}, k={k}")
     c1 = binom(n - 1, k - 1)
     c2 = binom(n - 2, k - 2)
     return BoundValue(c1 * (c1 - 1) + (n - 1) * c2 * (c2 - 1), (n, k))

@@ -28,17 +28,14 @@ as it stands.  A budget caps C(n, k) and must lie in
 1..MAX_EXHAUSTIVE_BUDGET.  Every search, exact or annealing, takes its k-set
 universe from _universe, the one place that refuses an oversized C(n, k).
 
-The heuristic is plain simulated annealing over families, restarted from
-empty.  Up to _SA_ADJ_CAP k-sets it adds a greedy completion pass, so short
-runs still land on maximal families; above that cap there is no completion,
-and a run reports the best family it visited, which need not be maximal.  It
-never proves anything, but it raises CounterexampleError if it ever beats a
-proved bound, which is the point of running it.
+The heuristic, heuristic_max, is plain simulated annealing over families,
+restarted from empty; its engines live in _anneal, which only heuristic_max
+imports.  It never proves anything, but it raises CounterexampleError if it
+ever beats a proved bound, which is the point of running it.
 """
 from __future__ import annotations
 
 import math
-import random
 import time
 from itertools import combinations
 from operator import mul, sub
@@ -69,12 +66,9 @@ from .setcore import (
 )
 from .weights import omega_cross, omega_family
 
-# The exhaustive C(n, k) caps and the default budget are defined in setcore.
-# The annealer only needs the universe (and its adjacency) in memory.
-_SA_UNIVERSE_CAP = 100_000
-_SA_ADJ_CAP = 4096
-_SA_CROSS_B_CAP = 2048
-# Cap on iterations * restarts (the default is 16 000 steps).
+# The exhaustive C(n, k) caps and the default budget are defined in setcore,
+# the annealer's universe caps in _anneal.  Cap on iterations * restarts (the
+# default is 16 000 steps).
 MAX_ANNEAL_STEPS = 10_000_000
 
 
@@ -468,332 +462,8 @@ def max_omega_cross(
 
 
 # ---------------------------------------------------------------------------
-# simulated annealing
+# simulated annealing (the engines are in _anneal)
 # ---------------------------------------------------------------------------
-
-
-def _nth_set_bit(mask: int, idx: int) -> int:
-    """Position of the set bit of rank idx (0-based, from the low end).
-
-    Halves the mask, keeping the half that holds the bit, until at most 8
-    bits are left, so a w-bit mask costs O(log w) big-int operations.
-    """
-    base = 0
-    width = mask.bit_length()
-    while width > 8:
-        half = width >> 1
-        low = mask & ((1 << half) - 1)
-        c = low.bit_count()
-        if idx < c:
-            mask, width = low, half
-        else:
-            idx -= c
-            mask >>= half
-            base += half
-            width -= half
-    for _ in range(idx):
-        mask &= mask - 1
-    return base + (mask & -mask).bit_length() - 1
-
-
-def _below(getrandbits, m: int) -> int:
-    """Random.randrange(m) for an int m > 0, draw for draw: m.bit_length()
-    random bits, drawn again until they fall below m."""
-    b = m.bit_length()
-    r = getrandbits(b)
-    while r >= m:
-        r = getrandbits(b)
-    return r
-
-
-class _MissCounts:
-    """For every index j of a universe, how many members of the current
-    family fail to be compatible with j, bit-sliced: bit j of planes[b] is
-    bit b of that count.  Adding or removing a member's miss set costs
-    O(log |family|) big-int operations, so the compatible sets (count 0)
-    follow every move without a pass over the members.  The indices with
-    count 0 and with count 1 are kept until the next change, so queries
-    between moves (most proposals are rejected) cost O(1)."""
-
-    def __init__(self, full: int):
-        self.full = full
-        self.planes: list[int] = []
-        self.levels: tuple[int, int] | None = (full, 0)
-
-    def add(self, mask: int) -> None:
-        self.levels = None
-        planes = self.planes
-        for b, p in enumerate(planes):
-            planes[b] = p ^ mask
-            mask &= p
-            if not mask:
-                return
-        if mask:
-            planes.append(mask)
-
-    def remove(self, mask: int) -> None:
-        self.levels = None
-        planes = self.planes
-        for b, p in enumerate(planes):
-            planes[b] = p ^ mask
-            mask &= ~p
-            if not mask:
-                return
-
-    def zero_without(self, mask: int) -> int:
-        """Indices compatible with every member once a member whose miss set
-        is mask leaves: count 0, or 1 and in mask (mask 0: none leaves)."""
-        if self.levels is None:
-            odd, high = (self.planes or [0])[0], 0
-            for p in self.planes[1:]:
-                high |= p
-            self.levels = (self.full & ~(odd | high), odd & ~high)
-        zero, one = self.levels
-        return zero | one & mask
-
-
-def _anneal_family(n: int, k: int, cfg: HeuristicConfig) -> tuple[int, tuple[int, ...]]:
-    """Best (value, member bitmasks) found by annealing intersecting families.
-
-    The total is tracked through the element degrees of the current family:
-    a set v joining it meets the members in sum(deg[x] for x in v) elements
-    in all, so a move's gain costs O(k) instead of a pass over the members.
-    Up to _SA_ADJ_CAP sets, the compatible sets are kept as a bitset through
-    _MissCounts, and every 64 steps and at the end of each restart the
-    family is completed greedily (complete), unless a degree bound shows
-    that the completion cannot beat the best.  Above the cap, proposals are
-    sampled and checked against held[x], the bitset of member indices that
-    contain x, and no completion runs: the best family visited is returned
-    as it stands, and may fall far short of the bound.
-    """
-    universe, elems, by_elem = _universe(n, k, _SA_UNIVERSE_CAP, "annealer universe cap")
-    big_n = len(universe)
-    full = (1 << big_n) - 1
-    use_adj = big_n <= _SA_ADJ_CAP
-    adj: list[int] = []
-    if use_adj:
-        adj = [_meeting(by_elem, xs) & ~(1 << i) for i, xs in enumerate(elems)]
-
-    def complete(cmask: int, val: int, members: list[int], deg: list[int]) -> None:
-        # Every set the completion adds lies in cmask, so with p[x] of its
-        # sets holding x it is worth at most val + sum_x (deg[x] p[x] +
-        # C(p[x], 2)), the exact search's node bound; below the best it is
-        # skipped.  Otherwise take the lowest compatible set until none is
-        # left: with a[x] of the added sets holding x, they meet the members
-        # in a[x] deg[x] elements at x and one another in C(a[x], 2).
-        nonlocal best_val, best_members
-        ps = [(cmask & column).bit_count() for column in by_elem]
-        if val + sum(map(mul, deg, ps)) + (sum(map(mul, ps, ps)) - sum(ps)) // 2 <= best_val:
-            return
-        added = 0
-        while cmask:
-            low = cmask & -cmask
-            added |= low
-            cmask &= adj[low.bit_length() - 1]
-        a = [(added & column).bit_count() for column in by_elem]
-        val += sum(map(mul, deg, a)) + (sum(map(mul, a, a)) - sum(a)) // 2
-        if val > best_val:
-            best_val = val
-            listed = members + _bits_list(added)
-            best_members = tuple(sorted(map(universe.__getitem__, listed)))
-
-    rng = random.Random(cfg.seed)
-    uniform, bits = rng.random, rng.getrandbits
-    decay = cfg.decay
-    best_val = -1
-    best_members: tuple[int, ...] = ()
-    for _ in range(cfg.restarts):
-        members: list[int] = []
-        deg = [0] * n
-        dget = deg.__getitem__
-        misses = _MissCounts(full)
-        held = [0] * n
-        cmask = full if use_adj else 0
-        val = 0
-        temp = cfg.initial_temperature
-        for it in range(cfg.iterations):
-            # an empty family takes a uniform set (every set is compatible),
-            # with no move drawn and no completion after it
-            move = uniform() if members else -1.0
-            if move < 0.45:
-                # grow with a compatible set
-                if use_adj:
-                    if cmask == 0:
-                        temp *= decay
-                        continue
-                    v = _nth_set_bit(cmask, _below(bits, cmask.bit_count()))
-                    cmask &= adj[v]
-                    misses.add(full ^ adj[v])
-                else:
-                    v = _sample_compatible(bits, elems, held, len(members))
-                    if v is None:
-                        temp *= decay
-                        continue
-                    for x in elems[v]:
-                        held[x] |= 1 << v
-                ys = elems[v]
-                val += sum(map(dget, ys))
-                for x in ys:
-                    deg[x] += 1
-                members.append(v)
-            elif move < 0.60:
-                # drop a member; its own k elements are not meets
-                ui = _below(bits, len(members))
-                u = members[ui]
-                xs = elems[u]
-                delta = k - sum(map(dget, xs))
-                if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
-                    members.pop(ui)
-                    val += delta
-                    for x in xs:
-                        deg[x] -= 1
-                    if use_adj:
-                        miss_u = full ^ adj[u]
-                        cmask = misses.zero_without(miss_u)
-                        misses.remove(miss_u)
-                    else:
-                        for x in xs:
-                            held[x] ^= 1 << u
-            else:
-                # swap one member for a set compatible with the rest
-                ui = _below(bits, len(members))
-                u = members[ui]
-                if use_adj:
-                    miss_u = full ^ adj[u]
-                    free = misses.zero_without(miss_u)
-                    cwo = free & ~(1 << u)
-                    if cwo == 0:
-                        temp *= decay
-                        continue
-                    v = _nth_set_bit(cwo, _below(bits, cwo.bit_count()))
-                else:
-                    v = _sample_compatible(bits, elems, held, len(members) - 1, forbid=u)
-                    if v is None:
-                        temp *= decay
-                        continue
-                xs, ys = elems[u], elems[v]
-                # deg still counts u, which meets v in |u & v| and itself in k
-                delta = sum(map(dget, ys)) - sum(map(dget, xs)) + k
-                delta -= (universe[u] & universe[v]).bit_count()
-                if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
-                    members[ui] = v
-                    val += delta
-                    for x in xs:
-                        deg[x] -= 1
-                    for x in ys:
-                        deg[x] += 1
-                    if use_adj:
-                        misses.remove(miss_u)
-                        misses.add(full ^ adj[v])
-                        # u left, so it is compatible again if it meets v
-                        cmask = free & adj[v]
-                    else:
-                        for x in xs:
-                            held[x] ^= 1 << u
-                        for x in ys:
-                            held[x] |= 1 << v
-            if val > best_val:
-                best_val, best_members = val, tuple(sorted(map(universe.__getitem__, members)))
-            if use_adj and it % 64 == 63 and move >= 0:
-                complete(cmask, val, members, deg)
-            temp *= decay
-        if use_adj:
-            complete(cmask, val, members, deg)
-    return best_val, best_members
-
-
-def _sample_compatible(getrandbits, elems, held, size, forbid=-1, tries=32):
-    """Random universe index outside the family that meets its `size`
-    members other than forbid, by rejection sampling.  held[x] is the bitset
-    of member indices containing x, so a candidate costs O(k) to check."""
-    keep = ~(1 << forbid) if forbid >= 0 else -1
-    for _ in range(tries):
-        i = _below(getrandbits, len(elems))
-        xs = elems[i]
-        if held[xs[0]] >> i & 1:
-            continue
-        meets = 0
-        for x in xs:
-            meets |= held[x]
-        if (meets & keep).bit_count() == size:
-            return i
-    return None
-
-
-def _anneal_cross(
-    n: int, k: int, l: int, cfg: HeuristicConfig
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Best (value, A masks, B masks) for cross pairs; B is always the full
-    compatible family for the current A.
-
-    A pair's total is sum over x of d_A(x) * d_B(x).  d_A is kept as moves
-    are accepted, and B follows A through _MissCounts together with d_B,
-    whose d_B(x) is the popcount of B's index bitset against the bitset of
-    l-sets holding x.  The new B costs O(k) big-int operations when a k-set
-    joins A and O(log |A|) when one leaves.  If B is unchanged, the total
-    moves by the sum of d_B over that k-set, O(k); only a move that changes
-    B recounts d_B, in n popcounts.
-    """
-    # the B side first: its cap is the smaller, so nothing large is built
-    # before a refusal
-    ub, _, b_by_elem = _universe(n, l, _SA_CROSS_B_CAP, "cross annealer B-side cap")
-    ua, elems_a, _ = _universe(n, k, _SA_UNIVERSE_CAP, "annealer universe cap")
-    na = len(ua)
-    full_b = (1 << len(ub)) - 1
-
-    rng = random.Random(cfg.seed)
-    uniform, bits = rng.random, rng.getrandbits
-    decay = cfg.decay
-    best_val = -1
-    best_a: tuple[int, ...] = ()
-    best_b: tuple[int, ...] = ()
-    for _ in range(cfg.restarts):
-        a_members: list[int] = []
-        d_a = [0] * n
-        misses = _MissCounts(full_b)
-        bmask = full_b
-        d_b = [e.bit_count() for e in b_by_elem]
-        val = 0
-        temp = cfg.initial_temperature
-        for _ in range(cfg.iterations):
-            if not a_members or uniform() < 0.6:
-                i = _below(bits, na)
-                xs = elems_a[i]
-                ci = _meeting(b_by_elem, xs)
-                nbm = bmask & ci
-                # a member of A meets all of B, so it leaves B unchanged
-                if not nbm or nbm == bmask and i in a_members:
-                    temp *= decay
-                    continue
-                sign = 1
-            else:
-                ui = _below(bits, len(a_members))
-                xs = elems_a[a_members[ui]]
-                miss_u = full_b ^ _meeting(b_by_elem, xs)
-                nbm = misses.zero_without(miss_u)
-                sign = -1
-            if nbm == bmask:
-                nd_b, nval = d_b, val + sign * sum(map(d_b.__getitem__, xs))
-            else:
-                nd_b = [(nbm & e).bit_count() for e in b_by_elem]
-                nval = sum(map(mul, d_a, nd_b)) + sign * sum(map(nd_b.__getitem__, xs))
-            delta = nval - val
-            if delta >= 0 or (temp > 1e-12 and uniform() < math.exp(delta / temp)):
-                for x in xs:
-                    d_a[x] += sign
-                if sign > 0:
-                    a_members.append(i)
-                    misses.add(full_b ^ ci)
-                else:
-                    a_members.pop(ui)
-                    misses.remove(miss_u)
-                bmask, val, d_b = nbm, nval, nd_b
-            if val > best_val and a_members:
-                best_val = val
-                best_a = tuple(sorted(map(ua.__getitem__, a_members)))
-                best_b = tuple(map(ub.__getitem__, _bits_list(bmask)))
-            temp *= decay
-    return best_val, best_a, best_b
 
 
 def heuristic_max(
@@ -818,9 +488,11 @@ def heuristic_max(
         raise TooLargeError(
             f"iterations x restarts = {steps} exceeds the step cap {MAX_ANNEAL_STEPS}"
         )
+    from . import _anneal  # only the annealing commands compile the engines
+
     if l is None:
         bound = omega_intersecting_bound(n, k).value if n >= 2 * k else None
-        best, members = _anneal_family(n, k, cfg)
+        best, members = _anneal._anneal_family(n, k, cfg)
         fam = Family.from_bitmasks(n, k, members)
         check = omega_family(fam)
         witnesses: tuple = (fam,)
@@ -830,7 +502,7 @@ def heuristic_max(
         if l > k:
             raise HypothesisError(f"cross mode is stated for k >= l, got k={k}, l={l}")
         bound = omega_cross_bound(n, k, l).value if n >= k + l else None
-        best, a_masks, b_masks = _anneal_cross(n, k, l, cfg)
+        best, a_masks, b_masks = _anneal._anneal_cross(n, k, l, cfg)
         fa = Family.from_bitmasks(n, k, a_masks)
         fb = Family.from_bitmasks(n, l, b_masks)
         check = omega_cross(fa, fb)

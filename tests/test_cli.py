@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intersum
-from intersum import bounds, cli, search
+from intersum import _anneal, bounds, cli, search
 from intersum.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -495,7 +495,7 @@ def test_cli_import_skips_pathlib_and_resources(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["result"]
 
 
-ENGINES = ("bounds", "cyclic", "search", "weights")
+ENGINES = ("_anneal", "bounds", "cyclic", "search", "weights")
 
 
 def test_cli_and_engines_import_without_dataclasses():
@@ -539,14 +539,16 @@ def test_each_command_imports_only_its_engine(tmp_path):
     assert engines_loaded(tmp_path, ["omega", "family", "fam.json", "--profile"]) == "['weights']"
     assert engines_loaded(tmp_path, ["verify", "identity", "--n-max", "6"]) == "['bounds']"
     # search reads cyclic only to sweep the interval trace of a witness that
-    # is not a star (or a star pair on one center)
+    # is not a star (or a star pair on one center), and _anneal only to anneal
     search_engines = "['bounds', 'search', 'weights']"
     assert engines_loaded(tmp_path, ["search-exact", "6", "2"]) == search_engines
     for argv in (["8", "3", "--budget", "60"], ["7", "3", "2", "--budget", "40"]):
         assert engines_loaded(tmp_path, ["verify", "extremal", *argv]) == search_engines
     # (6,3) has a second class, the 3-sets of a 5-set, which is swept
-    all_engines = "['bounds', 'cyclic', 'search', 'weights']"
-    assert engines_loaded(tmp_path, ["verify", "extremal", "6", "3"]) == all_engines
+    exact_engines = "['bounds', 'cyclic', 'search', 'weights']"
+    assert engines_loaded(tmp_path, ["verify", "extremal", "6", "3"]) == exact_engines
+    heuristic = ["search-heuristic", "8", "3", "--iterations", "50"]
+    assert engines_loaded(tmp_path, heuristic) == "['_anneal', 'bounds', 'search', 'weights']"
 
 
 def test_star_import_binds_every_public_name():
@@ -726,8 +728,8 @@ def test_search_heuristic_universe_caps(run_cli, monkeypatch):
 
     monkeypatch.setattr(search, "ksubset_masks", refuse)
     cases = [
-        ((30, 5), f"C(30,5) = 142506 exceeds the annealer universe cap {search._SA_UNIVERSE_CAP}"),
-        ((15, 5, 5), f"C(15,5) = 3003 exceeds the cross annealer B-side cap {search._SA_CROSS_B_CAP}"),
+        ((30, 5), f"C(30,5) = 142506 exceeds the annealer universe cap {_anneal._SA_UNIVERSE_CAP}"),
+        ((15, 5, 5), f"C(15,5) = 3003 exceeds the cross annealer B-side cap {_anneal._SA_CROSS_B_CAP}"),
     ]
     for config, message in cases:
         code, out, err = run_cli("search-heuristic", *config, "--json")
@@ -739,7 +741,7 @@ def test_search_heuristic_drift_exits_internal(run_cli, monkeypatch):
     def drifted(n, k, cfg):
         return 7, star(n, k, 1).bitmasks
 
-    monkeypatch.setattr(search, "_anneal_family", drifted)
+    monkeypatch.setattr(_anneal, "_anneal_family", drifted)
     code, out, err = run_cli("search-heuristic", 5, 2, "--json")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert "drifted" in err and "Traceback" not in err
