@@ -74,13 +74,10 @@ _MODULES = {
     "weights": (
         "Profile",
         "intersection_profile",
-        "meet_weight",
         "omega_cross",
         "omega_cross_strict",
         "omega_family",
-        "omega_generic",
         "pair_count",
-        "unit_weight",
     ),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

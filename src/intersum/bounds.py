@@ -29,16 +29,16 @@ class BoundValue(NamedTuple):
     config: tuple[int, ...]
 
 
-def _check_positive(**params: int) -> None:
-    """Reject the first parameter, by name, that is not a positive integer."""
-    for name, value in params.items():
+def _check_positive(n: int, k: int, l: int = 1) -> None:
+    """Reject the first of n, k, l, by name, that is not a positive integer."""
+    for name, value in zip("nkl", (n, k, l)):
         if not _is_int(value) or value < 1:
             raise BadSizeError(f"{name} must be a positive integer, got {name}={value!r}")
 
 
 def ekr_bound(n: int, k: int) -> BoundValue:
     """Maximum size of an intersecting family of k-subsets of [n], n >= 2k."""
-    _check_positive(n=n, k=k)
+    _check_positive(n, k)
     if n < 2 * k:
         raise HypothesisError(f"size bound needs n >= 2k, got n={n}, k={k}")
     return BoundValue(binom(n - 1, k - 1), (n, k))
@@ -50,7 +50,7 @@ def omega_intersecting_bound(n: int, k: int) -> BoundValue:
     Attained by a star: C(C(n-1,k-1), 2) pairs share the center, and each of
     the other n-1 elements is shared by C(n-2,k-2) members.
     """
-    _check_positive(n=n, k=k)
+    _check_positive(n, k)
     if n < 2 * k:
         raise HypothesisError(f"intersecting omega bound needs n >= 2k, got n={n}, k={k}")
     value = binom(binom(n - 1, k - 1), 2) + (n - 1) * binom(binom(n - 2, k - 2), 2)
@@ -66,7 +66,7 @@ def omega_cross_bound(n: int, k: int, l: int) -> BoundValue:
     (6,4,2) one reaches 86 against 80.  Every config with n >= 2k that the
     exact cross search covers agrees with this value.
     """
-    _check_positive(n=n, k=k, l=l)
+    _check_positive(n, k, l)
     if k < l:
         raise HypothesisError(f"cross bound is stated for k >= l, got k={k}, l={l}")
     if n < k + l:
@@ -80,7 +80,7 @@ def omega_cross_bound(n: int, k: int, l: int) -> BoundValue:
 def omega_strict_bound(n: int, k: int) -> BoundValue:
     """Maximum of the ordered-pair total excluding equal pairs, one family
     against itself, n >= 2k."""
-    _check_positive(n=n, k=k)
+    _check_positive(n, k)
     if n < 2 * k:
         raise HypothesisError(f"strict bound needs n >= 2k, got n={n}, k={k}")
     c1 = binom(n - 1, k - 1)
@@ -95,7 +95,7 @@ def pm_star_count(n: int, k: int, l: int, m: int) -> int:
     Choose the meet through 1 (C(n-1, m-1) ways), extend A outside the meet
     (C(n-m, k-m)), then extend B avoiding A (C(n-k, l-m)).
     """
-    _check_positive(n=n, k=k, l=l)
+    _check_positive(n, k, l)
     if m < 0:
         raise BadSizeError(f"meet size m must be nonnegative, got {m}")
     return binom(n - 1, m - 1) * binom(n - m, k - m) * binom(n - k, l - m)

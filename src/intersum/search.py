@@ -466,6 +466,14 @@ def max_omega_cross(
 # ---------------------------------------------------------------------------
 
 
+def _proved_bound(evaluate, *config: int) -> int | None:
+    """The closed form's value, or None outside the regime it is proved in."""
+    try:
+        return evaluate(*config).value
+    except HypothesisError:
+        return None
+
+
 def heuristic_max(
     n: int, k: int, l: int | None = None, config: HeuristicConfig | None = None
 ) -> SearchResult:
@@ -491,7 +499,7 @@ def heuristic_max(
     from . import _anneal  # only the annealing commands compile the engines
 
     if l is None:
-        bound = omega_intersecting_bound(n, k).value if n >= 2 * k else None
+        bound = _proved_bound(omega_intersecting_bound, n, k)
         best, members = _anneal._anneal_family(n, k, cfg)
         fam = Family.from_bitmasks(n, k, members)
         check = omega_family(fam)
@@ -501,7 +509,7 @@ def heuristic_max(
         _check_sizes(n, l)
         if l > k:
             raise HypothesisError(f"cross mode is stated for k >= l, got k={k}, l={l}")
-        bound = omega_cross_bound(n, k, l).value if n >= k + l else None
+        bound = _proved_bound(omega_cross_bound, n, k, l)
         best, a_masks, b_masks = _anneal._anneal_cross(n, k, l, cfg)
         fa = Family.from_bitmasks(n, k, a_masks)
         fb = Family.from_bitmasks(n, l, b_masks)

@@ -195,9 +195,6 @@ class KSet:
     def elements(self) -> tuple[int, ...]:
         return bits_to_elements(self.bits)
 
-    def meet_size(self, other: "KSet") -> int:
-        return (self.bits & other.bits).bit_count()
-
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.n and (self.bits >> (element - 1)) & 1 == 1
 

@@ -5,31 +5,11 @@ omega_cross sums over ordered pairs from two families.  Both count by element
 degrees, as the closed forms do: Σ_{A<B} |A ∩ B| = Σ_x C(d(x), 2) and
 Σ_{A,B} |A ∩ B| = Σ_x d_A(x) d_B(x), which costs O(|F| k) instead of
 O(|F|^2).  intersection_profile buckets the ordered pairs by meet size with
-bitsets over members.  Results are exact integers at any size; omega_generic
-keeps the plain pair loop for arbitrary weights and as the reference.
+bitsets over members.  Results are exact integers at any size.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-from .setcore import (
-    Family,
-    KSet,
-    _columns,
-    _require_same_ground,
-    element_degrees,
-    frozen_record,
-)
-
-PairWeight = Callable[[KSet, KSet], int]
-
-
-def meet_weight(a: KSet, b: KSet) -> int:
-    return a.meet_size(b)
-
-
-def unit_weight(a: KSet, b: KSet) -> int:
-    return 1
+from .setcore import Family, _columns, _require_same_ground, element_degrees, frozen_record
 
 
 @frozen_record
@@ -67,8 +47,7 @@ def omega_cross_strict(fam_a: Family, fam_b: Family) -> int:
 
 
 def pair_count(fam_a: Family, fam_b: Family, strict: bool = False) -> int:
-    """Number of ordered pairs (A, B), without A = B when strict: omega_generic
-    with unit_weight, in closed form."""
+    """Number of ordered pairs (A, B), without A = B when strict."""
     _require_same_ground(fam_a, fam_b)
     pairs = len(fam_a) * len(fam_b)
     if strict:
@@ -108,20 +87,3 @@ def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
     reach.append(0)
     return Profile(tuple(reach[m] - reach[m + 1] for m in range(top + 1)))
 
-
-def omega_generic(
-    fam_a: Family,
-    fam_b: Family,
-    weight: PairWeight = meet_weight,
-    strict: bool = False,
-) -> int:
-    """Ordered-pair sum of an arbitrary pair weight (always the plain loop)."""
-    _require_same_ground(fam_a, fam_b)
-    total = 0
-    bs = fam_b.members
-    for a in fam_a:
-        for b in bs:
-            if strict and a.bits == b.bits:
-                continue
-            total += weight(a, b)
-    return total

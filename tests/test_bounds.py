@@ -102,6 +102,27 @@ def test_pm_star_count_names_the_bad_parameter():
         pm_star_count(5, 2, 2, -1)
 
 
+@pytest.mark.parametrize(
+    "evaluate", [ekr_bound, omega_intersecting_bound, omega_strict_bound, omega_cross_bound]
+)
+def test_bound_evaluators_name_the_first_bad_parameter(evaluate):
+    # checked in the order n, k, l, before any regime test
+    cross = evaluate is omega_cross_bound
+    cases = [
+        ((0, 0, 0), "n=0"),
+        ((12, -1, 0), "k=-1"),
+        ((12, True, 1), "k=True"),
+        ((12.0, 3, 1), "n=12.0"),
+        ((12, "3", 1), "k='3'"),
+    ]
+    if cross:
+        cases += [((12, 3, 0), "l=0"), ((2, 3, False), "l=False"), ((12, 3, 1.0), "l=1.0")]
+    for args, bad in cases:
+        with pytest.raises(BadSizeError) as info:
+            evaluate(*(args if cross else args[:2]))
+        assert str(info.value) == f"{bad[0]} must be a positive integer, got {bad}"
+
+
 @given(st.integers(2, 16), st.data())
 def test_pm_counts_sum_to_all_pairs(n, data):
     k = data.draw(st.integers(1, n - 1))

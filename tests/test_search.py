@@ -709,6 +709,23 @@ def test_heuristic_cross_mode_needs_k_at_least_l():
         heuristic_max(6, 2, 3)
 
 
+def test_heuristic_bound_is_none_exactly_where_the_closed_form_raises():
+    # every config with n <= 10, one step each: the regime comes from bounds
+    cfg = HeuristicConfig(seed=0, iterations=1, restarts=1)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for l in (None, *range(1, k + 1)):
+                if l is None:
+                    evaluate, config = omega_intersecting_bound, (n, k)
+                else:
+                    evaluate, config = omega_cross_bound, (n, k, l)
+                try:
+                    expect = evaluate(*config).value
+                except HypothesisError:
+                    expect = None
+                assert heuristic_max(n, k, l, cfg).bound == expect, (n, k, l)
+
+
 def test_heuristic_counterexample_carries_witness():
     """Below n = 2k the cross closed form is beaten (4 against 3 at
     (4,3,1)); the heuristic reports that as the exact searches do."""

@@ -8,17 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
-from intersum.setcore import MAX_GROUND, Family, full_family, kset, make_family, star
+from intersum.setcore import MAX_GROUND, Family, full_family, make_family, star
 from intersum.weights import (
     Profile,
     intersection_profile,
-    meet_weight,
     omega_cross,
     omega_cross_strict,
     omega_family,
-    omega_generic,
     pair_count,
-    unit_weight,
 )
 
 
@@ -36,13 +33,6 @@ def random_family(draw, max_n=12, max_members=24):
         )
     )
     return make_family(n, k, members)
-
-
-def test_weight_functions():
-    a, b, c = kset(4, [2, 3]), kset(4, [1, 2]), kset(4, [1, 4])
-    assert meet_weight(a, b) == 1
-    assert meet_weight(a, c) == 0
-    assert unit_weight(a, c) == 1
 
 
 def test_omega_family_small_cases():
@@ -98,18 +88,6 @@ def test_cross_symmetry_and_strict_bound(pair):
     assert omega_cross_strict(fa, fb) <= omega_cross(fa, fb)
 
 
-def test_omega_generic_matches_specialized():
-    a = star(6, 2, 1)
-    b = full_family(6, 2)
-    assert omega_generic(a, b, meet_weight) == omega_cross(a, b)
-    assert omega_generic(a, b, unit_weight) == len(a.members) * len(b.members)
-    assert omega_generic(a, a, meet_weight, strict=True) == omega_cross_strict(a, a)
-    # unordered unit count over distinct pairs
-    assert omega_generic(b, b, unit_weight, strict=True) // 2 == math.comb(
-        len(b.members), 2
-    )
-
-
 def test_intersection_profile_star_pair():
     prof = intersection_profile(star(5, 2, 1), star(5, 2, 1))
     assert isinstance(prof, Profile)
@@ -127,6 +105,15 @@ def test_profile_sums(fam):
     assert sum(prof.counts) == prof.total_pairs == len(fam.members) ** 2
     assert prof.weighted_sum == omega_cross(fam, fam)
     assert len(prof.counts) == fam.k + 1
+
+
+def ordered_pairs(fam_a, fam_b, strict=False):
+    """Oracle: the ordered pairs of member bitmasks, without A = B when strict."""
+    return [(a, b) for a in fam_a.bitmasks for b in fam_b.bitmasks if not (strict and a == b)]
+
+
+def meet_sum(pairs):
+    return sum((a & b).bit_count() for a, b in pairs)
 
 
 def pair_histogram(fam_a, fam_b):
@@ -192,21 +179,22 @@ def test_intersection_profile_top_element():
 @settings(max_examples=150)
 @given(profile_pair())
 @example((make_family(5, 3, []), star(5, 2, 1)))
+@example((star(6, 2, 1), full_family(6, 2)))
 def test_degree_sums_match_pair_loop(pair):
     fa, fb = pair
-    assert omega_family(fa) == sum((a & b).bit_count() for a, b in combinations(fa.bitmasks, 2))
-    assert omega_cross(fa, fb) == omega_generic(fa, fb, meet_weight)
-    assert omega_cross_strict(fa, fb) == omega_generic(fa, fb, meet_weight, strict=True)
-    assert omega_cross_strict(fa, fa) == omega_generic(fa, fa, meet_weight, strict=True)
-    assert pair_count(fa, fb) == omega_generic(fa, fb, unit_weight)
-    assert pair_count(fa, fb, strict=True) == omega_generic(fa, fb, unit_weight, strict=True)
-    assert pair_count(fa, fa, strict=True) == omega_generic(fa, fa, unit_weight, strict=True)
+    assert omega_family(fa) == meet_sum(combinations(fa.bitmasks, 2))
+    assert omega_cross(fa, fb) == meet_sum(ordered_pairs(fa, fb))
+    assert omega_cross_strict(fa, fb) == meet_sum(ordered_pairs(fa, fb, strict=True))
+    assert omega_cross_strict(fa, fa) == meet_sum(ordered_pairs(fa, fa, strict=True))
+    assert pair_count(fa, fb) == len(ordered_pairs(fa, fb))
+    assert pair_count(fa, fb, strict=True) == len(ordered_pairs(fa, fb, strict=True))
+    assert pair_count(fa, fa, strict=True) == len(ordered_pairs(fa, fa, strict=True))
 
 
 def test_large_family_matches_pair_loops():
     # every member count takes the same single path; check one well past 10^4 pairs
     f = full_family(11, 3)
-    expect = omega_generic(f, f, meet_weight)
+    expect = meet_sum(ordered_pairs(f, f))
     assert omega_cross(f, f) == expect
     assert omega_family(f) == (expect - 3 * len(f)) // 2
     prof = intersection_profile(f, f)
