@@ -300,28 +300,49 @@ def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:
 
 
 _BIT = tuple(1 << (e - 1) if e else 0 for e in range(MAX_GROUND + 1))  # _BIT[e] is e's bit
+# _ELEMENT_LANES[b] maps an element e in 1..63 to byte b of _BIT[e] as a
+# little-endian 64-bit word, and every other byte to 0: a lane of the table's
+# words, padded to the 256 entries that bytes.translate takes.
+_BIT_WORDS = b"".join(bit.to_bytes(8, "little") for bit in _BIT)
+_ELEMENT_LANES = [_BIT_WORDS[b::8] + bytes(256 - len(_BIT)) for b in range(8)]
 
 
 def _bulk_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int] | None:
     """The masks of a list of k-element lists of ints in 1..n, tested at once,
     or None when any test fails and the first error must be found.
 
-    Each mask is a sum of table bits.  A repeated element carries, so its
-    mask has popcount below k, and Family rejects it as it rejects a repeated
-    set; neither is tested here.
+    The elements become one byte string, and each set is k consecutive
+    bytes.  Byte b of every mask is then the OR, over the k positions of a
+    set, of that position's bytes mapped through lane b's table; the lanes
+    interleave into little-endian 64-bit words.  OR merges a repeated
+    element, so its mask has popcount below k, and Family rejects it as it
+    rejects a repeated set; neither is tested here.
     """
     if type(sets) not in (list, tuple) or not sets:
         return None
     if set(map(type, sets)) - {list, tuple} or set(map(len, sets)) != {k}:
         return None
     elements = list(chain.from_iterable(sets))
-    if set(map(type, elements)) != {int}:
+    if set(map(type, elements)) != {int}:  # before bytes(), which takes True as 1
         return None
-    values = set(elements)
-    if min(values) < 1 or max(values) > n:
+    try:
+        raw = bytes(elements)
+    except ValueError:  # an element outside 0..255
         return None
-    bits = map(_BIT.__getitem__, elements)
-    return list(map(sum, zip(*[bits] * k)))  # each set is k consecutive elements
+    if raw.translate(None, bytes(range(1, n + 1))):  # an element outside 1..n
+        return None
+    count = len(sets)
+    words = bytearray(8 * count)
+    for b in range((n + 7) // 8):  # the lanes above element n's stay 0
+        lane = _ELEMENT_LANES[b]
+        merged = 0
+        for t in range(k):
+            merged |= int.from_bytes(raw[t::k].translate(lane), "little")
+        words[b::8] = merged.to_bytes(count, "little")
+    masks = array("Q", words)
+    if sys.byteorder == "big":
+        masks.byteswap()
+    return masks.tolist()
 
 
 def _checked_masks(n: int, k: int, sets: Iterable[Iterable[int]]) -> list[int]:
@@ -569,7 +590,7 @@ def canonical_form(family: Family) -> Family:
 
 
 # _LANE_DIGITS[b] maps a byte to the digit "1" when its bit b is set, else "0"
-_LANE_DIGITS = [bytes(b"01"[v >> b & 1] for v in range(256)) for b in range(8)]
+_LANE_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
 def _columns(masks: tuple[int, ...], n: int) -> list[int]:

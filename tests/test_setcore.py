@@ -22,6 +22,7 @@ from intersum.setcore import (
     MAX_GROUND,
     Family,
     KSet,
+    _bulk_masks,
     _canonical_masks,
     _columns,
     _items,
@@ -334,23 +335,54 @@ def raw_families(draw):
     return n, k, sets
 
 
+# the bulk parser packs masks by byte lanes: 1..8 is lane 0, 9..16 lane 1, ...
+LANE_EDGES = [1, 8, 9, 16, 17, 24, 25, 32, 33, 40, 41, 48, 49, 56, 57, 63]
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_families())
 @example((5, 2, 7))
 @example((5, 2, {"sets": [[1, 2]]}))
 @example((5, 2, None))
 @example((5, 2, []))
+@example((MAX_GROUND, 16, [LANE_EDGES, LANE_EDGES[::-1][1:] + [2], [2, *LANE_EDGES[1:]]]))
+@example((MAX_GROUND, 2, [[a, b] for a, b in zip(LANE_EDGES, LANE_EDGES[1:])]))
+@example((MAX_GROUND, MAX_GROUND, [list(range(MAX_GROUND, 0, -1))]))
+@example((MAX_GROUND, MAX_GROUND, [list(range(1, MAX_GROUND)) + [1]]))
+@example((10, 3, ((3, 1, 2), (10, 9, 8), (4, 9, 5))))
+@example((10, 3, [(3, 1, 2), [10, 9, 8], (4, 9, 5)]))
+@example((10, 3, ((3, 1, 2), (3, 2, 1))))
+@example((MAX_GROUND, 2, [[1, 2], [3, True]]))
+@example((MAX_GROUND, 2, [[1, 2], [3, 0]]))
+@example((MAX_GROUND, 2, [[1, 2], [3, 64]]))
+@example((MAX_GROUND, 2, [[1, 2], [3, 255]]))
+@example((MAX_GROUND, 2, [[1, 2], [3, 256]]))
+@example((MAX_GROUND, 2, [[1, 2], [3, -1]]))
+@example((8, 2, [[True, 2]]))
+@example((8, 2, [[9, 2]]))
 def test_make_family_matches_loop_oracle(case):
     n, k, sets = case
     assert parse_outcome(make_family, n, k, sets) == parse_outcome(oracle_make_family, n, k, sets)
 
 
-@pytest.mark.parametrize("salt", [*SALT, 6, "scalar"])
+def test_bulk_masks_pack_every_lane_edge():
+    sets = [LANE_EDGES, LANE_EDGES[::-1], list(range(MAX_GROUND, 47, -1))]
+    expected = [elements_to_bits(s, MAX_GROUND) for s in sets]
+    assert _bulk_masks(MAX_GROUND, 16, sets) == expected
+    singletons = [[e] for e in LANE_EDGES]
+    assert _bulk_masks(MAX_GROUND, 1, singletons) == [1 << (e - 1) for e in LANE_EDGES]
+    # OR merges a repeated element: popcount below k, which Family rejects
+    assert _bulk_masks(9, 3, [(9, 9, 1)]) == [0b100000001]
+
+
+# 255 and 256 straddle what bytes() takes; 64 lies past the bulk parser's lane tables
+@pytest.mark.parametrize("salt", [*SALT, 6, 64, 255, 256, "scalar"])
 def test_make_family_salted_error_matches_oracle(salt):
     n, k = 5, 3
     sets = [[1, 2, 3], [2, 4, salt], [1, 4, 5]] if salt != "scalar" else [[1, 2, 3], 4]
     expected = parse_outcome(oracle_make_family, n, k, sets)
     assert isinstance(expected, tuple)  # every salt is an error
+    assert _bulk_masks(n, k, sets) is None  # found by the bulk test, not the family check
     assert parse_outcome(make_family, n, k, sets) == expected
 
 

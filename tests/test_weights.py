@@ -141,10 +141,25 @@ def profile_pair(draw, max_n=10):
     return one(), one()
 
 
+# min(k_a, k_b) <= 2 leaves no level to sweep; 3 sweeps one
+TOP_ONE = (full_family(6, 1), star(6, 3, 2))
+TOP_TWO = (star(6, 4, 1), full_family(6, 2))
+TOP_THREE = (full_family(6, 3), star(6, 4, 6))
+
+
 @settings(max_examples=150)
 @given(profile_pair())
 @example((make_family(5, 3, []), star(5, 2, 1)))
 @example((star(5, 2, 1), make_family(5, 3, [])))
+@example((make_family(5, 3, []), make_family(5, 1, [])))
+@example(TOP_ONE)
+@example(TOP_ONE[::-1])
+@example(TOP_TWO)
+@example(TOP_TWO[::-1])
+@example(TOP_THREE)
+@example(TOP_THREE[::-1])
+@example((star(7, 3, 1), star(7, 3, 1)))
+@example((full_family(5, 5), full_family(5, 5)))
 def test_intersection_profile_matches_pair_loop(pair):
     fa, fb = pair
     prof = intersection_profile(fa, fb)
@@ -153,11 +168,11 @@ def test_intersection_profile_matches_pair_loop(pair):
     assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, MAX_GROUND), st.data())
-def test_intersection_profile_matches_pair_loop_on_any_ground(n, data):
-    # member bitsets are built by byte lanes of 64-bit words: reach every lane
-    rng = Random(data.draw(st.integers(0, 2**32)))
+@st.composite
+def any_ground_pair(draw):
+    """Two families of random sizes on a ground set of 1..63 elements."""
+    n = draw(st.integers(1, MAX_GROUND))
+    rng = Random(draw(st.integers(0, 2**32)))
 
     def one():
         k = rng.randint(1, n)
@@ -166,8 +181,26 @@ def test_intersection_profile_matches_pair_loop_on_any_ground(n, data):
             masks.add(sum(1 << (e - 1) for e in rng.sample(range(1, n + 1), k)))
         return Family.from_bitmasks(n, k, masks)
 
-    fa, fb = one(), one()
+    return one(), one()
+
+
+def sharing_last_pair(k):
+    """A family of k-sets of {1..63} all holding 62 and 63, the last co-degree pair."""
+    sets = [(*range(start, start + k - 2), 62, 63) for start in range(1, 62 - k, 7)]
+    return make_family(MAX_GROUND, k, sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_ground_pair())
+@example((sharing_last_pair(4), sharing_last_pair(3)))
+@example((make_family(MAX_GROUND, 2, [(62, 63)]), sharing_last_pair(5)))
+@example((full_family(MAX_GROUND, MAX_GROUND), full_family(MAX_GROUND, MAX_GROUND)))
+@example((full_family(1, 1), make_family(1, 1, [])))
+def test_intersection_profile_matches_pair_loop_on_any_ground(pair):
+    # member bitsets are built by byte lanes of 64-bit words: reach every lane
+    fa, fb = pair
     assert intersection_profile(fa, fb).counts == pair_histogram(fa, fb)
+    assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
 
 
 def test_intersection_profile_top_element():
