@@ -236,6 +236,12 @@ def _cmd_omega(args):
             counts = [c // 2 for c in counts]
         elif args.mode == "strict":
             counts[-1] -= len(set(fam_a.bitmasks) & set(fam_b.bitmasks))
+        if args.weight == "meet":
+            recount = sum(m * c for m, c in enumerate(counts))
+        else:
+            recount = sum(counts)
+        if recount != value:
+            raise InternalError(f"profile recounts {args.weight} weight {recount}, value {value}")
         result["profile"] = [str(c) for c in counts]
         lines += [f"m={m}: {c}" for m, c in enumerate(counts)]
     return result, lines, str(value), True

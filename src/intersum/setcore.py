@@ -593,25 +593,38 @@ def canonical_form(family: Family) -> Family:
 _LANE_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
+def _mask_bytes(masks: Iterable[int]) -> bytes:
+    """The masks as little-endian 64-bit words, in the order given.
+
+    Every mask fits one word (MAX_GROUND = 63 < 64), so byte b of each word,
+    the byte lane raw[b::8], holds bits 8b..8b+7 of the masks.
+    """
+    words = array("Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
 def _columns(masks: tuple[int, ...], n: int) -> list[int]:
     """For x in 0..n-1, the bitset of the masks holding bit x, with masks[i]
     at bit i, so a column is an index bitset over masks (the searches rely
     on this order).
 
-    Transposes the bit matrix in byte operations: every mask fits one
-    little-endian 64-bit word (MAX_GROUND = 63 < 64), so byte x // 8 of each
-    word holds bit x, and mapping those bytes to digits spells the column in
-    binary, the last mask first.
+    Transposes the bit matrix in byte operations: mapping the bytes of lane
+    x // 8 to digits spells the column in binary, the last mask first.
     """
     if not masks:
         return [0] * n
-    words = array("Q", reversed(masks))
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
+    raw = _mask_bytes(reversed(masks))
     return [int(raw[x // 8 :: 8].translate(_LANE_DIGITS[x % 8]), 2) for x in range(n)]
 
 
 def element_degrees(family: Family) -> tuple[int, ...]:
-    """For each element 1..n, how many members contain it."""
-    return tuple(col.bit_count() for col in _columns(family.bitmasks, family.n))
+    """For each element 1..n, how many members contain it.
+
+    Counts the digits "1" of each byte lane mapped as in _columns, without
+    building the columns.
+    """
+    raw = _mask_bytes(family.bitmasks)
+    lanes = [raw[b::8] for b in range((family.n + 7) // 8)]
+    return tuple(lanes[x // 8].translate(_LANE_DIGITS[x % 8]).count(b"1") for x in range(family.n))

@@ -4,16 +4,16 @@ omega_family sums |A ∩ B| over unordered pairs of distinct members;
 omega_cross sums over ordered pairs from two families.  Both count by element
 degrees, as the closed forms do: Σ_{A<B} |A ∩ B| = Σ_x C(d(x), 2) and
 Σ_{A,B} |A ∩ B| = Σ_x d_A(x) d_B(x), which costs O(|F| k) instead of
-O(|F|^2).  intersection_profile buckets the ordered pairs by meet size.  Two
-of its levels come from moments: the count above gives Σ_{A,B} |A ∩ B|, and
-the same count over element pairs, Σ_{A,B} C(|A ∩ B|, 2) =
-Σ_{x<y} d_A(xy) d_B(xy), takes at most C(n, 2) co-degree products whatever
-the member size.  Only the levels of three or more shared elements are swept,
-with bitsets over members.  Results are exact integers at any size.
+O(|F|^2).  intersection_profile buckets the ordered pairs by meet size, from
+the same double count over i-sets of elements, which gives every moment of
+the histogram: Σ_{A,B} C(|A ∩ B|, i) = Σ_{|S|=i} d_A(S) d_B(S).  A walk over
+the sets S that both families cover takes every moment when the inputs pay
+for it, and otherwise the two lowest, sweeping the levels above them with
+bitsets over members.  Results are exact integers at any size.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from .setcore import Family, _columns, _require_same_ground, element_degrees, frozen_record
 
@@ -64,29 +64,43 @@ def pair_count(fam_a: Family, fam_b: Family, strict: bool = False) -> int:
 def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
     """Histogram of |A ∩ B| over ordered pairs; indices 0..min(k_a, k_b).
 
-    Let reach[j] be the number of pairs meeting in at least j elements.  The
-    two lowest levels follow from two double counts over the member columns
-    (col[x], the bitset of a family's members holding element x + 1):
+    Let reach[j] be the number of pairs meeting in at least j elements.  A
+    pair meeting in m elements shares C(m, i) i-sets, so the i-th moment is a
+    sum of co-degree products (col[x], the bitset of a family's members
+    holding element x + 1, and d(S) the popcount of the AND of S's columns):
 
-        M1 = Σ_{j≥1} reach[j]       = Σ_x d_A(x) d_B(x),
-        M2 = Σ_{j≥2} (j−1) reach[j] = Σ_{x<y} d_A(xy) d_B(xy),
+        moments[i] = Σ_{A,B} C(|A ∩ B|, i) = Σ_{|S|=i} d_A(S) d_B(S)
+                   = Σ_{j≥i} C(j−1, i−1) reach[j].
 
-    the second summing C(|A ∩ B|, 2) by co-degrees over at most C(n, 2)
-    element pairs, whatever the member size.  The histogram is symmetric in
-    its arguments, so the larger family becomes bit positions, and only the
-    levels j ≥ 3 are swept: for each member y of the other family,
-    at_least[j] marks the members that meet y in at least j of the elements
-    of y seen so far, and each new element moves the members of its column
-    up one level.  No member is swept when min(k_a, k_b) ≤ 2.  Pairs meeting
-    in exactly m elements are those meeting in at least m less those
-    meeting in at least m + 1.
+    The histogram is symmetric in its arguments: the family with more members
+    is "big", the other "small".  An iterative walk visits the sets S in
+    ascending order, carrying the ANDs of S's columns in both families, and
+    extends S by a larger element y only while both ANDs stay nonzero (the
+    small family's first).  Stopped at depth d, it does one big-column AND
+    per nonempty set S of at most d elements that the small family covers, at
+    most W(d) = Σ_{1≤i≤d} min(C(n, i), |small| C(k_small, i)) in all, so it
+    visits at most W(d) sets besides the empty one, with two popcounts each; from each visited set
+    below depth d it tries up to n small-column ANDs.  The walk takes every level, d = top, when
+    W(top) ≤ |small| k_small, the element steps of a sweep over the small
+    family's members.  Otherwise d = min(2, top), at most C(n, 2) pairs
+    whatever the member size, and the levels above 2 are swept: for each
+    small member, at_least[j] marks the big members that meet it in at least
+    j of the elements seen so far, and each new element moves the members of
+    its column up one level.  Then, from level d down,
+
+        reach[i] = moments[i] − Σ_{j>i} C(j−1, i−1) reach[j],
+
+    and pairs meeting in exactly m elements are those meeting in at least m
+    less those meeting in at least m + 1.
     """
     _require_same_ground(fam_a, fam_b)
-    top = min(fam_a.k, fam_b.k)
-    big, small = sorted((fam_a.bitmasks, fam_b.bitmasks), key=len, reverse=True)
-    col, col_small = _columns(big, fam_a.n), _columns(small, fam_a.n)
+    n, top = fam_a.n, min(fam_a.k, fam_b.k)
+    big, small = sorted((fam_a, fam_b), key=len, reverse=True)
+    col, col_small = _columns(big.bitmasks, n), _columns(small.bitmasks, n)
+    walk = sum(min(comb(n, i), len(small) * comb(small.k, i)) for i in range(1, top + 1))
+    depth = top if walk <= len(small) * small.k else min(2, top)
     reach = [len(big) * len(small)] + [0] * top  # pairs meeting in >= j elements
-    for bits in small if top > 2 else ():  # levels 1 and 2 come from M1 and M2
+    for bits in small.bitmasks if depth < top else ():
         at_least = [0] * (top + 1)  # at_least[0], every member, is never read
         seen = 0
         while bits:
@@ -97,16 +111,30 @@ def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
                 at_least[j] |= at_least[j - 1] & c
             at_least[1] |= c
             bits ^= low
-        for j in range(3, top + 1):
+        for j in range(depth + 1, top + 1):
             reach[j] += at_least[j].bit_count()
-    if top > 1:
-        second = 0
-        for (big_x, small_x), (big_y, small_y) in combinations(zip(col, col_small), 2):
-            meet = small_x & small_y
-            if meet:
-                second += (big_x & big_y).bit_count() * meet.bit_count()
-        reach[2] = second - sum((j - 1) * reach[j] for j in range(3, top + 1))
-    first = sum(x.bit_count() * y.bit_count() for x, y in zip(col, col_small))
-    reach[1] = first - sum(reach[2:])
+    moments = [0] * (depth + 1)
+    # a node is (first element it may add, |S|, big AND, small AND); the root
+    # S = {} holds every member, and the sets of depth d are summed, not pushed
+    stack = [(0, 0, (1 << len(big)) - 1, (1 << len(small)) - 1)]
+    while stack:
+        start, size, big_and, small_and = stack.pop()
+        moments[size] += big_and.bit_count() * small_and.bit_count()
+        if size + 1 < depth:
+            for y in range(start, n):
+                meet_small = small_and & col_small[y]
+                if meet_small:
+                    meet_big = big_and & col[y]
+                    if meet_big:
+                        stack.append((y + 1, size + 1, meet_big, meet_small))
+        elif size < depth:
+            last = 0
+            for y in range(start, n):
+                meet_small = small_and & col_small[y]
+                if meet_small:
+                    last += (big_and & col[y]).bit_count() * meet_small.bit_count()
+            moments[depth] += last
+    for i in range(depth, 0, -1):
+        reach[i] = moments[i] - sum(comb(j - 1, i - 1) * reach[j] for j in range(i + 1, top + 1))
     reach.append(0)
     return Profile(tuple(reach[m] - reach[m + 1] for m in range(top + 1)))

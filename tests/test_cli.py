@@ -152,6 +152,25 @@ def test_omega_profile_counts_each_summed_pair_once(run_cli, family_file):
     assert (code, out) == (EXIT_PASS, "2\nm=0: 0\nm=1: 2\nm=2: 0\n")
 
 
+@pytest.mark.parametrize("weight", ["meet", "unit"])
+@pytest.mark.parametrize("mode", ["family", "cross", "strict"])
+def test_omega_profile_recount_mismatch_exits_internal(run_cli, family_file, monkeypatch, mode, weight):
+    # two extra pairs at the top level (one once family mode halves them) move
+    # both the total and the weighted sum
+    profile = intersum.intersection_profile
+
+    def shifted(fam_a, fam_b):
+        counts = profile(fam_a, fam_b).counts
+        return intersum.Profile(counts[:-1] + (counts[-1] + 2,))
+
+    monkeypatch.setattr(intersum, "intersection_profile", shifted)
+    path = family_file(star(5, 2, 1))
+    paths = [path] if mode == "family" else [path, path]
+    code, out, err = run_cli("omega", mode, *paths, "--weight", weight, "--profile", "--json")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "profile recounts" in err and "Traceback" not in err
+
+
 @st.composite
 def omega_inputs(draw):
     """A mode and its families on n <= 6; strict and cross pairs share the

@@ -141,10 +141,37 @@ def profile_pair(draw, max_n=10):
     return one(), one()
 
 
-# min(k_a, k_b) <= 2 leaves no level to sweep; 3 sweeps one
+def seeded_family(n, k, count, seed):
+    """count distinct random k-sets of {1..n}, drawn from Random(seed)."""
+    rng = Random(seed)
+    masks = set()
+    while len(masks) < count:
+        masks.add(sum(1 << x for x in rng.sample(range(n), k)))
+    return Family.from_bitmasks(n, k, masks)
+
+
+# The co-degree walk takes every level when W(top) <= |small| k_small, and
+# otherwise levels 1 and 2, the member sweep counting the levels above 2.
+# min(k_a, k_b) <= 2 is the walk alone; TOP_THREE just misses the full walk
+# (W(3) = 6 + 15 + 20 > 10 * 4), so its top level is swept.
 TOP_ONE = (full_family(6, 1), star(6, 3, 2))
 TOP_TWO = (star(6, 4, 1), full_family(6, 2))
 TOP_THREE = (full_family(6, 3), star(6, 4, 6))
+# d = top = 4, the walk alone: W(4) = 14 + 91 + 364 + 300 <= 300 * 4
+WALK_ONLY = (star(14, 5, 1), seeded_family(14, 4, 300, 0))
+# d = 2 although W(3) = 12 + 66 + 220 <= 60 * 6: W(6) = 1213 > 60 * 6, so
+# levels 3..6 are swept
+SWEEP_W3_FITS = (seeded_family(12, 6, 100, 1), seeded_family(12, 6, 60, 2))
+# d = 2 with k = 9: W(3) = 16 + 120 + 560 > 12 * 9, so levels 3..9 are swept
+SWEEP_ABOVE_TWO = (seeded_family(16, 10, 20, 3), seeded_family(16, 9, 12, 4))
+# 40 members of 30-sets sharing a 25-set core on n = 63: d = 2, and levels
+# 3..30 are swept; CORE_MIRROR relabels element x as 64 - x
+CORE = Family.from_bitmasks(
+    MAX_GROUND, 30, [(1 << 25) - 1 | m << 25 for m in seeded_family(38, 5, 40, 5).bitmasks]
+)
+CORE_MIRROR = Family.from_bitmasks(
+    MAX_GROUND, 30, [int(f"{m:063b}"[::-1], 2) for m in CORE.bitmasks]
+)
 
 
 @settings(max_examples=150)
@@ -158,6 +185,11 @@ TOP_THREE = (full_family(6, 3), star(6, 4, 6))
 @example(TOP_TWO[::-1])
 @example(TOP_THREE)
 @example(TOP_THREE[::-1])
+@example(WALK_ONLY)
+@example(SWEEP_W3_FITS)
+@example(SWEEP_ABOVE_TWO)
+@example((CORE, CORE))
+@example((CORE, CORE_MIRROR))
 @example((star(7, 3, 1), star(7, 3, 1)))
 @example((full_family(5, 5), full_family(5, 5)))
 def test_intersection_profile_matches_pair_loop(pair):
