@@ -52,12 +52,10 @@ _MODULES = {
         "heuristic_max",
         "max_omega_cross",
         "max_omega_intersecting",
-        "max_omega_intersecting_naive",
         "uniqueness_report",
     ),
     "setcore": (
         "Family",
-        "KSet",
         "canonical_form",
         "element_degrees",
         "family_from_dict",
@@ -66,7 +64,6 @@ _MODULES = {
         "is_cross_intersecting",
         "is_intersecting",
         "is_star",
-        "kset",
         "ksubset_masks",
         "make_family",
         "star",

@@ -52,8 +52,8 @@ from .setcore import (
     MAX_EXHAUSTIVE_BUDGET,
     MAX_GROUND,
     MAX_SWEEP_GROUND,
-    NAIVE_BUDGET,
     Family,
+    bits_to_elements,
     family_from_dict,
     family_to_dict,
     frozen_record,
@@ -170,7 +170,9 @@ def _run(args) -> int:
 
 
 def _fmt_sets(family: Family) -> str:
-    return " ".join("{" + ",".join(map(str, ks.elements())) + "}" for ks in family)
+    return " ".join(
+        "{" + ",".join(map(str, bits_to_elements(b))) + "}" for b in family.bitmasks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +396,7 @@ def _search_lines(res) -> Iterator[str]:
 
 
 def _cmd_search_exact(args):
-    if args.naive:
-        if args.l is not None:
-            raise _CliUsageError("--naive oracle only covers intersecting families")
-        res = intersum.max_omega_intersecting_naive(args.n, args.k, budget=args.budget)
-    elif args.l is None:
+    if args.l is None:
         res = intersum.max_omega_intersecting(args.n, args.k, budget=args.budget)
     else:
         res = intersum.max_omega_cross(args.n, args.k, args.l, budget=args.budget)
@@ -512,14 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("k", type=int)
     se.add_argument("l", type=int, nargs="?")
     se.add_argument("--budget", type=int, default=DEFAULT_EXHAUSTIVE_BUDGET, help=_BUDGET_HELP)
-    se.add_argument(
-        "--naive",
-        action="store_true",
-        help=(
-            "use the enumerate-all-subsets oracle instead of branch and bound;"
-            f" --budget is checked as usual, then capped at {NAIVE_BUDGET}"
-        ),
-    )
 
     sh = sub.add_parser("search-heuristic", help="seeded annealing lower bound")
     sh.add_argument("n", type=int)
@@ -539,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         (vd, _cmd_verify_doublecount, ("suite", "n", "k", "l", "workers")),
         (vi, _cmd_verify_identity, ("suite", "n_max")),
         (ve, _cmd_verify_extremal, ("suite", "n", "k", "l", "budget")),
-        (se, _cmd_search_exact, ("n", "k", "l", "budget", "naive")),
+        (se, _cmd_search_exact, ("n", "k", "l", "budget")),
         (
             sh,
             _cmd_search_heuristic,

@@ -53,7 +53,6 @@ from .setcore import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     MAX_EXHAUSTIVE_BUDGET,
     MAX_SWEEP_GROUND,
-    NAIVE_BUDGET,
     Family,
     _canonical_masks,
     _check_sizes,
@@ -313,62 +312,6 @@ def max_omega_intersecting(
         if raw:
             break
     winners = [([universe[i] for i in idxs],) for val, idxs in raw if val == best]
-    witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
-    return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
-
-
-def max_omega_intersecting_naive(n: int, k: int, budget: int = NAIVE_BUDGET) -> SearchResult:
-    """Reference oracle: test all 2^C(n,k) subsets directly.
-
-    Exists to cross-check the branch-and-bound on small instances; same
-    result contract as max_omega_intersecting.  budget is checked like the
-    branch and bound's, then capped at NAIVE_BUDGET, so no budget walks more
-    than 2^NAIVE_BUDGET subsets.
-    """
-    t0 = time.perf_counter()
-    _check_sizes(n, k)
-    _check_budget(budget)
-    bound = omega_intersecting_bound(n, k).value
-    universe, _, _ = _universe(n, k, min(budget, NAIVE_BUDGET), "naive budget")
-    big_n = len(universe)
-    table = [[(a & b).bit_count() for b in universe] for a in universe]
-    adj = [0] * big_n
-    for i in range(big_n):
-        for j in range(i + 1, big_n):
-            if table[i][j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    full = (1 << big_n) - 1
-
-    best = 0
-    winners = []
-    for sub in range(1 << big_n):
-        members = _bits_list(sub)
-        ok = True
-        for i in members:
-            if sub & ~(adj[i] | (1 << i)):
-                ok = False
-                break
-        if not ok:
-            continue
-        val = 0
-        for ai, i in enumerate(members):
-            row = table[i]
-            for j in members[ai + 1 :]:
-                val += row[j]
-        if val < best:
-            continue
-        compat = full
-        for i in members:
-            compat &= adj[i]
-        maximal = (compat & ~sub) == 0 and sub != 0
-        if not maximal:
-            continue
-        masks = [universe[i] for i in members]
-        if val > best:
-            best, winners = val, [(masks,)]
-        else:
-            winners.append((masks,))
     witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
     return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
 

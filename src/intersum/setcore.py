@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left
 from itertools import chain, combinations
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence
@@ -34,7 +33,6 @@ MAX_GROUND = 63
 # (10,5) with C = 252 under a second, (12,6) past two minutes), and the cross
 # sweep can still visit 2^C(n, l) subsets of the l-sets.  A budget is 1 to
 # MAX_EXHAUSTIVE_BUDGET, which admits every intersecting config up to (10,5).
-NAIVE_BUDGET = 16
 DEFAULT_EXHAUSTIVE_BUDGET = 24
 MAX_EXHAUSTIVE_BUDGET = 256
 # All-permutation sweeps visit each of the (n-1)! cycle orders once, at O(n)
@@ -172,47 +170,12 @@ def record_dict(value):
 
 
 @frozen_record
-class KSet:
-    """A subset of {1..n} stored as a bitmask."""
-
-    __slots__ = ("n", "bits")
-    n: int
-    bits: int
-
-    def __init__(self, n: int, bits: int) -> None:
-        _set(self, "n", n)
-        _set(self, "bits", bits)
-        _check_ground(n)
-        if not _is_int(bits):
-            raise BadElementError(f"bitmask must be an int, got {bits!r}")
-        if bits < 0 or bits >> n:
-            raise BadElementError(f"bitmask {bits:#x} has bits outside ground set 1..{n}")
-
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> tuple[int, ...]:
-        return bits_to_elements(self.bits)
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and (self.bits >> (element - 1)) & 1 == 1
-
-    def __repr__(self) -> str:
-        return f"KSet(n={self.n}, {{{', '.join(map(str, self.elements()))}}})"
-
-
-def kset(n: int, elements: Iterable[int]) -> KSet:
-    return KSet(n, elements_to_bits(elements, n))
-
-
-@frozen_record
 class Family:
     """A duplicate-free collection of k-subsets of {1..n}.
 
     Members are held as their bitmasks, strictly increasing, so equal
-    families compare equal and iteration order is reproducible.  `members`
-    and iteration build KSet views on demand.  Empty families are legal.
+    families compare equal and member order is reproducible; bits_to_elements
+    turns a mask back into its elements.  Empty families are legal.
     """
 
     __slots__ = ("n", "k", "bitmasks")
@@ -237,49 +200,38 @@ class Family:
             self._reject()
 
     def _reject(self) -> None:
-        """Raise the error for the first bad member, in the order that
-        building each KSet and then walking the members finds it; a member
-        that is not an int raises TypeError, like masks that are not a tuple."""
-        members = []
-        for b in self.bitmasks:  # KSet rejects bits outside the ground set
+        """Raise the error for the first bad member.  Every mask is checked
+        first: one that is not an int raises TypeError, like masks that are
+        not a tuple, and one with bits outside the ground set BadElementError.
+        Then the members are walked in order for size, repeats and order."""
+        n = self.n
+        for b in self.bitmasks:
             if not _is_int(b):
                 raise TypeError("bitmasks must be ints")
-            members.append(KSet(self.n, b))
+            if b < 0 or b >> n:
+                raise BadElementError(f"bitmask {b:#x} has bits outside ground set 1..{n}")
         prev = -1
-        for ks in members:
-            if ks.size != self.k:
-                raise BadSizeError(f"member {ks!r} does not have size {self.k}")
-            if ks.bits == prev:
-                raise DuplicateSetError(f"duplicate member {ks!r}")
-            if ks.bits < prev:
+        for b in self.bitmasks:
+            elements = list(bits_to_elements(b))
+            if len(elements) != self.k:
+                raise BadSizeError(f"member {elements} does not have size {self.k}")
+            if b == prev:
+                raise DuplicateSetError(f"duplicate member {elements}")
+            if b < prev:
                 raise ValueError("members must be sorted by bitmask")
-            prev = ks.bits
+            prev = b
         raise TypeError("bitmasks must be ints")
 
     @classmethod
     def from_bitmasks(cls, n: int, k: int, masks: Iterable[int]) -> "Family":
         return cls(n, k, tuple(sorted(masks)))
 
-    @property
-    def members(self) -> tuple[KSet, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.bitmasks)
 
-    def __iter__(self) -> Iterator[KSet]:
-        n = self.n
-        return (KSet(n, b) for b in self.bitmasks)
-
-    def __contains__(self, item: object) -> bool:
-        if not isinstance(item, KSet) or item.n != self.n:
-            return False
-        masks = self.bitmasks
-        i = bisect_left(masks, item.bits)
-        return i < len(masks) and masks[i] == item.bits
-
     def __repr__(self) -> str:
-        return f"Family(n={self.n!r}, k={self.k!r}, members={self.members!r})"
+        sets = [list(bits_to_elements(b)) for b in self.bitmasks]
+        return f"Family(n={self.n!r}, k={self.k!r}, sets={sets!r})"
 
 
 def make_family(n: int, k: int, sets: Iterable[Iterable[int]]) -> Family:

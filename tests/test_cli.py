@@ -580,10 +580,11 @@ def test_star_import_binds_every_public_name():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-    assert len(intersum.__all__) == 52 and "omega_family" in dir(intersum)
+    assert len(intersum.__all__) == 49 and "omega_family" in dir(intersum)
     retired = {
         "CyclicPerm",
         "Interval",
+        "KSet",
         "Permutation",
         "RepresentablePair",
         "apply_perm",
@@ -592,6 +593,8 @@ def test_star_import_binds_every_public_name():
         "interval_meet_family",
         "interval_of",
         "intervals_of_length",
+        "kset",
+        "max_omega_intersecting_naive",
         "meet_weight",
         "omega_generic",
         "representable_pairs",
@@ -685,24 +688,6 @@ def test_budget_range_exits(run_cli, monkeypatch):
         assert "Traceback" not in err
         if expected == EXIT_RESOURCE:
             assert "ceiling" in err
-
-
-def test_search_exact_naive_budget(run_cli):
-    """--naive checks --budget like branch and bound, then caps it at
-    NAIVE_BUDGET (16): a larger budget never widens the oracle."""
-    cases = [
-        ((4, 2), -5, EXIT_USAGE, "budget"),
-        ((4, 2), search.MAX_EXHAUSTIVE_BUDGET + 1, EXIT_RESOURCE, "ceiling"),
-        ((4, 2), 5, EXIT_RESOURCE, "C(4,2) = 6 exceeds the naive budget 5"),
-        ((8, 2), 100, EXIT_RESOURCE, "C(8,2) = 28 exceeds the naive budget 16"),
-    ]
-    for (n, k), budget, expected, message in cases:
-        code, out, err = run_cli("search-exact", n, k, "--naive", "--budget", budget, "--json")
-        assert (code, out) == (expected, "")
-        assert message in err and "Traceback" not in err
-    code, out, _ = run_cli("search-exact", 6, 2, "--naive", "--budget", 100)
-    assert code == EXIT_PASS
-    assert out.splitlines()[0] == "best 10  bound 10  tight  (exhaustive)"
 
 
 def test_verify_extremal_10_4(run_cli):
@@ -862,19 +847,18 @@ CONTRACT = [
     ("verify extremal 5 2 2", "6f8ac8427cb5e6c2"),
     ("verify extremal 5 3 2", "61ae751b1ed9c1c4"),
     ("verify extremal 7 3 --budget 40", "c35d49666700f67d"),
-    ("verify extremal 4 3 1", "2997759af65d555d"),
-    ("search-exact 5 2", "0a0da143b3e48508"),
-    ("search-exact 5 2 2", "0e325adba93375ea"),
-    ("search-exact 6 2 --naive --budget 100", "9334af32c478b057"),
-    ("search-exact 5 2 2 --naive", "bb3a5be72fa095cf"),
+    ("verify extremal 4 3 1", "9ecaee7cb38d53a0"),
+    ("search-exact 5 2", "f224e4e02c1a1373"),
+    ("search-exact 5 2 2", "fe5c6636aadc02cb"),
+    ("search-exact 6 2 --naive", "5d3102051c6b2c3c"),
     ("search-exact 12 3", "f924f857b3775d85"),
     ("search-exact 5 2 --budget 0", "dea69a58b198a52f"),
-    ("search-exact 4 3 1", "2997759af65d555d"),
+    ("search-exact 4 3 1", "9ecaee7cb38d53a0"),
     ("search-heuristic 8 3 --seed 1 --iterations 400 --restarts 2", "f453e0863ea6d2be"),
     ("search-heuristic 6 2 2 --seed 3 --iterations 200 --restarts 2 --temperature 1.5 --decay 0.99", "328eeadc39cdf68b"),
     ("search-heuristic 5 2 --iterations 0", "67fa7fdc8591af9d"),
     ("search-heuristic 10 3 --iterations 10000001 --restarts 1", "855d3f8f9e9a95f5"),
-    ("search-heuristic 4 3 1 --seed 0 --iterations 200 --restarts 2", "64a23e5a92e14305"),
+    ("search-heuristic 4 3 1 --seed 0 --iterations 200 --restarts 2", "91a5a6a68e034a5a"),
     ("no-such-command", "60c6735a71792448"),
     ("bound family 5 2 --workers 0", "cdd42da32f39baa3"),
 ]

@@ -1,4 +1,5 @@
-"""Exact search (branch-and-bound, naive oracle), heuristic annealing, uniqueness reports."""
+"""Exact search (branch and bound against brute-force oracles), heuristic annealing,
+uniqueness reports."""
 
 import hashlib
 import json
@@ -30,7 +31,6 @@ from intersum.search import (
     heuristic_max,
     max_omega_cross,
     max_omega_intersecting,
-    max_omega_intersecting_naive,
     uniqueness_report,
 )
 from intersum.setcore import (
@@ -178,27 +178,6 @@ def test_exact_family_guards():
         max_omega_intersecting(5, 3)
     with pytest.raises(TooLargeError):
         max_omega_intersecting(10, 3)  # C(10,3) = 120 over the default budget
-    with pytest.raises(TooLargeError):
-        max_omega_intersecting_naive(8, 2)  # 2^28 subsets is past the naive budget
-
-
-def test_naive_matches_branch_and_bound():
-    """Every config the oracle reaches: (4,2), (5,2), (6,2) and (n,1) for
-    n <= 16.  At k = 1 the empty family ties the star's value 0, so a search
-    that scored it would report a spurious empty class."""
-    configs = [
-        (n, k)
-        for k in range(1, 9)
-        for n in range(2 * k, 17)
-        if math.comb(n, k) <= search.NAIVE_BUDGET
-    ]
-    assert (6, 2) in configs and (16, 1) in configs and len(configs) == 18
-    for n, k in configs:
-        a = max_omega_intersecting(n, k)
-        b = max_omega_intersecting_naive(n, k)
-        assert a.witnesses and all(f.bitmasks for f in a.witnesses)
-        assert a.best_value == b.best_value
-        assert [f.bitmasks for f in a.witnesses] == [f.bitmasks for f in b.witnesses]
 
 
 def shift(masks, i, j):
@@ -337,6 +316,41 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def intersecting_oracle(n, k):
+    """Best unordered-pair total and its canonical witness classes, by
+    walking every subset of the k-universe.  Only maximal, nonempty
+    intersecting families count; a subset is one exactly when it equals the
+    set of k-sets meeting all of its members."""
+    universe = ksubset_masks(n, k)
+    meets = [sum(1 << j for j, b in enumerate(universe) if a & b) for a in universe]
+    common = [(1 << len(universe)) - 1] * (1 << len(universe))
+    best, winners = 0, []
+    for sub in range(1, 1 << len(universe)):
+        low = sub & -sub
+        common[sub] = common[sub ^ low] & meets[low.bit_length() - 1]
+        if common[sub] != sub:
+            continue
+        fam = [universe[i] for i in _bits(sub)]
+        val = sum((a & b).bit_count() for a, b in combinations(fam, 2))
+        if val > best:
+            best, winners = val, []
+        if val == best:
+            winners.append((fam,))
+    return best, tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
+
+
+def test_naive_matches_branch_and_bound():
+    """Every config the oracle reaches: (4,2), (5,2), (6,2) and (n,1) for
+    n <= 16.  At k = 1 the empty family ties the star's value 0, so a search
+    that scored it would report a spurious empty class."""
+    configs = [(n, k) for k in range(1, 9) for n in range(2 * k, 17) if math.comb(n, k) <= 16]
+    assert (6, 2) in configs and (16, 1) in configs and len(configs) == 18
+    for n, k in configs:
+        r = max_omega_intersecting(n, k)
+        assert r.witnesses and all(f.bitmasks for f in r.witnesses)
+        assert (r.best_value, r.witnesses) == intersecting_oracle(n, k)
+
+
 def cross_oracle(n, k, l):
     """Best total and raw optimal pairs as member-mask lists, by walking every
     subset A of the k-universe, pairing it with all l-sets that meet every
@@ -448,7 +462,6 @@ def test_budget_range():
     searches = (
         lambda b: max_omega_intersecting(5, 2, budget=b),
         lambda b: max_omega_cross(5, 2, 2, budget=b),
-        lambda b: max_omega_intersecting_naive(4, 2, budget=b),
     )
     for run in searches:
         for bad in (0, -5, 2.5, True, "24"):
@@ -474,22 +487,16 @@ def test_budget_ceiling_before_universe(no_universe):
         max_omega_intersecting(30, 15, budget=10**9)
     with pytest.raises(TooLargeError, match="ceiling"):
         max_omega_cross(30, 15, 10, budget=10**9)
-    with pytest.raises(TooLargeError, match="ceiling"):
-        max_omega_intersecting_naive(30, 15, budget=10**9)
-    # C(9,2) = 36 is within the exhaustive ceiling but past NAIVE_BUDGET
-    with pytest.raises(TooLargeError, match=r"C\(9,2\) = 36 exceeds the naive budget 16"):
-        max_omega_intersecting_naive(9, 2, budget=36)
 
 
 @pytest.mark.parametrize(
     "run",
     [
         lambda: max_omega_intersecting(5, 3),  # n < 2k
-        lambda: max_omega_intersecting_naive(5, 3),  # n < 2k
         lambda: max_omega_cross(5, 3, 3),  # n < k + l
         lambda: max_omega_cross(6, 2, 3),  # k < l
     ],
-    ids=["bb-5-3", "naive-5-3", "cross-5-3-3", "cross-6-2-3"],
+    ids=["bb-5-3", "cross-5-3-3", "cross-6-2-3"],
 )
 def test_regime_refused_before_universe(no_universe, run):
     """The exact searches take their regime from the bounds module, which

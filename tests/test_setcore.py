@@ -21,7 +21,6 @@ from intersum.errors import (
 from intersum.setcore import (
     MAX_GROUND,
     Family,
-    KSet,
     _bulk_masks,
     _canonical_masks,
     _columns,
@@ -36,7 +35,6 @@ from intersum.setcore import (
     is_cross_intersecting,
     is_intersecting,
     is_star,
-    kset,
     ksubset_masks,
     make_family,
     record_dict,
@@ -124,7 +122,7 @@ def perm_images(n):
     return st.permutations(list(range(n)))
 
 
-# --- masks and KSet ---
+# --- masks ---
 
 
 def test_elements_bits_roundtrip():
@@ -147,28 +145,6 @@ def test_elements_to_bits_rejects_out_of_ground():
         elements_to_bits([5], 4)
 
 
-def test_kset_basic():
-    a = kset(5, [1, 2, 4])
-    assert a.size == 3
-    assert a.elements() == (1, 2, 4)
-    assert 2 in a and 3 not in a
-    b = kset(5, [2, 3])
-    assert a.bits & b.bits == 0b10  # the meet {2}
-
-
-def test_kset_rejects_out_of_ground():
-    with pytest.raises(BadElementError):
-        kset(4, [1, 5])
-    with pytest.raises(TooLargeError):
-        KSet(64, 1)
-
-
-@pytest.mark.parametrize("bits", [True, False, 2.0, "3", None, [1]])
-def test_kset_rejects_bits_that_are_not_ints(bits):
-    with pytest.raises(BadElementError, match="must be an int"):
-        KSet(5, bits)
-
-
 # --- frozen records ---
 
 
@@ -182,8 +158,8 @@ def test_records_compare_hash_and_freeze():
     assert res == SearchResult(**fields, witnesses=(fam,), runtime_ms=40)
     assert res != SearchResult(**{**fields, "tight": False}, witnesses=(fam,))
     assert hash(res) == hash(((5, 2), 6, 6, True, True, (fam,), None))
-    assert hash(fam) == hash((5, 2, fam.bitmasks)) and hash(KSet(5, 3)) == hash((5, 3))
-    for record in (res, fam, KSet(5, 3), HeuristicConfig()):
+    assert hash(fam) == hash((5, 2, fam.bitmasks))
+    for record in (res, fam, HeuristicConfig()):
         with pytest.raises(AttributeError):
             record.n = 6
         with pytest.raises(AttributeError):
@@ -206,7 +182,7 @@ def test_records_compare_hash_and_freeze():
 def test_make_family_orders_members():
     f = make_family(4, 2, [[3, 4], [1, 2], [1, 3]])
     assert f.bitmasks == tuple(sorted(f.bitmasks))
-    assert f.members[0].bits == 0b0011
+    assert f.bitmasks[0] == 0b0011
 
 
 def test_make_family_rejects_wrong_size():
@@ -225,9 +201,9 @@ def test_make_family_rejects_bad_element():
 
 
 def test_family_post_init_guards():
-    with pytest.raises(DuplicateSetError):
+    with pytest.raises(DuplicateSetError, match=r"^duplicate member \[1, 2\]$"):
         Family.from_bitmasks(4, 2, [0b0011, 0b0011])
-    with pytest.raises(BadSizeError):
+    with pytest.raises(BadSizeError, match=r"^member \[1, 2, 3\] does not have size 2$"):
         Family.from_bitmasks(4, 2, [0b0111])
     with pytest.raises(TooLargeError):
         make_family(70, 2, [[1, 2]])
@@ -257,20 +233,9 @@ def test_family_post_init_rejects_bad_masks():
 def test_family_holds_masks_and_builds_member_views():
     f = make_family(4, 3, [[2, 3, 4], [1, 2, 3]])
     assert f.bitmasks == (0b0111, 0b1110)
-    assert f.members == (KSet(4, 0b0111), KSet(4, 0b1110)) == tuple(f)
     assert len(f) == 2
-    assert repr(f) == "Family(n=4, k=3, members=(KSet(n=4, {1, 2, 3}), KSet(n=4, {2, 3, 4})))"
-    assert repr(Family(4, 3, ())) == "Family(n=4, k=3, members=())"
-
-
-def test_family_contains():
-    f = make_family(5, 2, [[1, 2], [2, 4], [3, 5]])
-    assert kset(5, [2, 4]) in f
-    assert kset(5, [1, 3]) not in f
-    assert kset(5, [4, 5]) not in f  # past the last member
-    assert kset(6, [2, 4]) not in f  # same bits, another ground set
-    assert 0b1010 not in f and (2, 4) not in f
-    assert kset(5, [1, 2]) not in Family(5, 2, ())
+    assert repr(f) == "Family(n=4, k=3, sets=[[1, 2, 3], [2, 3, 4]])"
+    assert repr(Family(4, 3, ())) == "Family(n=4, k=3, sets=[])"
 
 
 # --- the bulk parser against the per-element loop ---
@@ -451,7 +416,7 @@ def test_ksubset_masks_and_stars_match_popcount_oracle():
 
 def test_full_family():
     f = full_family(5, 3)
-    assert len(f.members) == 10
+    assert len(f) == 10
     assert f.bitmasks == ksubset_masks(5, 3)
 
 
@@ -460,8 +425,8 @@ def test_full_family():
 
 def test_star_shape():
     s = star(6, 3, 2)
-    assert len(s.members) == math.comb(5, 2)
-    assert all(2 in m for m in s.members)
+    assert len(s) == math.comb(5, 2)
+    assert all(m & 0b10 for m in s.bitmasks)
     assert is_intersecting(s)
     assert is_star(s) == 2
 
@@ -503,7 +468,7 @@ def test_is_cross_intersecting():
 @given(small_families(max_n=7), st.data())
 def test_apply_perm_preserves_structure(fam, data):
     g = relabel_family(fam, data.draw(perm_images(fam.n)))
-    assert len(g.members) == len(fam.members)
+    assert len(g) == len(fam)
     assert is_intersecting(g) == is_intersecting(fam)
     assert sorted(element_degrees(g)) == sorted(element_degrees(fam))
 
@@ -570,7 +535,7 @@ def test_columns_put_mask_i_at_bit_i(case):
 @given(small_families())
 def test_degree_sum_identity(fam):
     # every member contributes k to the total degree
-    assert sum(element_degrees(fam)) == fam.k * len(fam.members)
+    assert sum(element_degrees(fam)) == fam.k * len(fam)
 
 
 # --- canonical forms ---

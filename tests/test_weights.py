@@ -51,7 +51,7 @@ def test_omega_cross_star_cases():
 def test_omega_cross_strict_drops_diagonal():
     s = star(5, 2, 1)
     # strict form excludes the |A|=k diagonal contributions
-    assert omega_cross_strict(s, s) == omega_cross(s, s) - 2 * len(s.members)
+    assert omega_cross_strict(s, s) == omega_cross(s, s) - 2 * len(s)
     a = star(5, 2, 1)
     b = star(5, 3, 1)
     # no shared members when k differs, so strict agrees with plain
@@ -62,7 +62,7 @@ def test_omega_cross_strict_drops_diagonal():
 @given(random_family())
 def test_pair_sum_identity(fam):
     # dual route: unordered triangle sum vs ordered sum minus diagonal
-    assert 2 * omega_family(fam) == omega_cross(fam, fam) - fam.k * len(fam.members)
+    assert 2 * omega_family(fam) == omega_cross(fam, fam) - fam.k * len(fam)
 
 
 @st.composite
@@ -102,7 +102,7 @@ def test_intersection_profile_star_pair():
 @given(random_family(max_n=9, max_members=12))
 def test_profile_sums(fam):
     prof = intersection_profile(fam, fam)
-    assert sum(prof.counts) == prof.total_pairs == len(fam.members) ** 2
+    assert sum(prof.counts) == prof.total_pairs == len(fam) ** 2
     assert prof.weighted_sum == omega_cross(fam, fam)
     assert len(prof.counts) == fam.k + 1
 
@@ -265,4 +265,4 @@ def test_large_family_matches_pair_loops():
     prof = intersection_profile(f, f)
     assert prof.counts == pair_histogram(f, f)
     assert prof.weighted_sum == expect
-    assert prof.total_pairs == len(f.members) ** 2
+    assert prof.total_pairs == len(f) ** 2
