@@ -22,7 +22,6 @@ _MODULES = {
         "ekr_bound",
         "omega_cross_bound",
         "omega_intersecting_bound",
-        "omega_strict_bound",
         "pm_star_count",
         "star_identity_check",
     ),
@@ -48,7 +47,6 @@ _MODULES = {
         "HeuristicConfig",
         "SearchResult",
         "UniquenessReport",
-        "WitnessAssessment",
         "heuristic_max",
         "max_omega_cross",
         "max_omega_intersecting",
@@ -69,7 +67,6 @@ _MODULES = {
         "star",
     ),
     "weights": (
-        "Profile",
         "intersection_profile",
         "omega_cross",
         "omega_cross_strict",

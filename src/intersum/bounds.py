@@ -77,17 +77,6 @@ def omega_cross_bound(n: int, k: int, l: int) -> BoundValue:
     return BoundValue(value, (n, k, l))
 
 
-def omega_strict_bound(n: int, k: int) -> BoundValue:
-    """Maximum of the ordered-pair total excluding equal pairs, one family
-    against itself, n >= 2k."""
-    _check_positive(n, k)
-    if n < 2 * k:
-        raise HypothesisError(f"strict bound needs n >= 2k, got n={n}, k={k}")
-    c1 = binom(n - 1, k - 1)
-    c2 = binom(n - 2, k - 2)
-    return BoundValue(c1 * (c1 - 1) + (n - 1) * c2 * (c2 - 1), (n, k))
-
-
 def pm_star_count(n: int, k: int, l: int, m: int) -> int:
     """Number of ordered pairs (A, B), A in the k-star at 1 and B in the
     l-star at 1, with |A ∩ B| = m.

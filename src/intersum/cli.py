@@ -191,12 +191,12 @@ def _cmd_bound(args):
     else:
         if args.l is not None:
             raise _CliUsageError(f"bound {args.kind} takes two parameters: n k")
-        if args.kind == "family":
-            bv = intersum.omega_intersecting_bound(args.n, args.k)
-        elif args.kind == "strict":
-            bv = intersum.omega_strict_bound(args.n, args.k)
-        else:
+        if args.kind == "ekr":
             bv = intersum.ekr_bound(args.n, args.k)
+        else:
+            bv = intersum.omega_intersecting_bound(args.n, args.k)
+        if args.kind == "strict":  # ordered pairs count each unordered pair twice
+            bv = bv._replace(value=2 * bv.value)
     result = {"kind": args.kind, "config": list(bv.config), "value": str(bv.value)}
     return result, [str(bv.value)], str(bv.value), True
 
@@ -232,7 +232,7 @@ def _cmd_omega(args):
         # Count the pairs the value sums.  Of the profile's ordered pairs,
         # strict mode drops the (S, S) pairs, which meet in k elements, and
         # family mode drops them too and halves the rest.
-        counts = list(intersum.intersection_profile(fam_a, fam_b).counts)
+        counts = list(intersum.intersection_profile(fam_a, fam_b))
         if args.mode == "family":
             counts[-1] -= len(fam_a)
             counts = [c // 2 for c in counts]
@@ -364,9 +364,9 @@ def _cmd_verify_extremal(args):
             f"{'PASS' if uniq.ok else 'FAIL'}: unique witness class, and it is the {shape}"
         )
     else:
-        stars = sum(1 for a in uniq.assessments if a.is_extremal_pattern)
+        stars = len(uniq.star_centers) - uniq.star_centers.count(None)
         lines.append(
-            f"INFO: boundary parameters; {uniq.witness_count} witness class(es),"
+            f"INFO: boundary parameters; {len(res.witnesses)} witness class(es),"
             f" {stars} of star form (uniqueness not claimed)"
         )
     result = {"search": res.to_json_dict(), "uniqueness": record_dict(uniq), "ok": ok}

@@ -15,13 +15,11 @@ which ends where A ends and starts where B starts.  katona_verify checks
 that at most k of an order's n k-windows pairwise meet (n >= 2k), and that
 for n > 2k every maximum shares an element.  double_count_check counts the
 representable pairs of every meet size two ways, per pair across all orders
-and per order across pairs, in one pass over the orders.  _interval_patterns
-tests the searches' witnesses for the star pattern: in every order, a
-family's member windows are those through one position.
+and per order across pairs, in one pass over the orders.
 """
 from __future__ import annotations
 
-from itertools import accumulate, compress, permutations
+from itertools import accumulate, permutations
 from math import factorial
 from operator import sub
 from typing import Iterator, Sequence
@@ -62,31 +60,6 @@ def _orders(n: int) -> Iterator[tuple[int, ...]]:
     2..n in itertools.permutations order, so the identity order comes first."""
     for rest in permutations([1 << x for x in range(1, n)]):
         yield (1, *rest)
-
-
-def _interval_patterns(n: int, families: Sequence[Family]) -> bool:
-    """True when, in every cycle order of 1..n, each family's members that
-    are windows are exactly the windows through one position, the same
-    position for every family (the family's center in that order).
-
-    For each family of k-sets, end_of maps the bitset of start positions of
-    the length-k windows through position p to p.
-    """
-    checks = [
-        (f.k, set(f.bitmasks), {sum(1 << (p - j) % n for j in range(f.k)): p for p in range(n)})
-        for f in families
-    ]
-    position_bits = [1 << s for s in range(n)]
-    for order in _orders(n):
-        center = None
-        for t, members, end_of in checks:
-            windows = _windows(order, t)
-            present = sum(compress(position_bits, map(members.__contains__, windows)))
-            p = end_of.get(present)
-            if p is None or center not in (None, p):
-                return False
-            center = p
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 Both exact searches look at one representative per relabelling class only.
 Adding a compatible set to a nonempty intersecting family strictly increases
 the total, so every maximizer is maximal.  For intersecting families the
-representatives are the shifted ones: with d(i) >= d(j), the shift S_ij keeps
-a family intersecting and its size and raises omega = sum_x C(d(x), 2) by
-a (d(i) - d(j)) + a^2 when it moves a >= 1 members, so an optimal family,
-relabelled by decreasing degree, is a down-set of the componentwise order.
+representatives are the shifted ones.  The shift S_ij keeps a family
+intersecting and its size, and when it moves a >= 1 members it changes
+omega = sum_x C(d(x), 2) by a (d(i) - d(j)) + a^2.  By lemma L1 (proved at
+max_omega_intersecting) that is never negative, whatever the degrees, so the
+value needs no degree condition; the class list needs the strict gain when
+d(i) >= d(j), which makes an optimal family, relabelled by decreasing
+degree, a down-set of the componentwise order.
 The search decides the k-sets in ascending mask order (a linear extension of
 that order) and only ever holds such down-sets.  The cross search sweeps
 the l-side, never the larger one: the subsets B of the l-sets that hold
@@ -52,7 +55,6 @@ from .errors import (
 from .setcore import (
     DEFAULT_EXHAUSTIVE_BUDGET,
     MAX_EXHAUSTIVE_BUDGET,
-    MAX_SWEEP_GROUND,
     Family,
     _canonical_masks,
     _check_sizes,
@@ -236,11 +238,15 @@ def max_omega_intersecting(
     a member; it keeps a family intersecting and keeps its size (Erdos, Ko
     and Rado 1961; Frankl 1987).  If it moves a >= 1 members, d(i) rises by a
     and d(j) falls by a, so omega = sum_x C(d(x), 2) grows by
-    a (d(i) - d(j)) + a^2, which is positive when d(i) >= d(j).  An optimal
-    family is therefore fixed by every such shift; relabelled by decreasing
-    degree it is shifted, a down-set of the componentwise order on k-sets.
-    So every optimal class has a shifted member, and the classes are the
-    canonical forms of the optimal shifted families.
+    a (d(i) - d(j)) + a^2.  Lemma L1: this is never negative, whatever the
+    degrees.  The members holding j but not i that stay put have their
+    images among the members holding i but not j, injectively, so
+    d(j) - d(i) <= a.  So the value needs no degree condition.  The class
+    list needs the strict gain when d(i) >= d(j): an optimal family is fixed
+    by every such shift, and relabelled by decreasing degree it is shifted,
+    a down-set of the componentwise order on k-sets.  So every optimal class
+    has a shifted member, and the classes are the canonical forms of the
+    optimal shifted families.
 
     The sets are decided in ascending mask order, a linear extension of the
     componentwise order.  P holds the sets still takeable: they meet every
@@ -470,21 +476,11 @@ def heuristic_max(
 
 
 @frozen_record
-class WitnessAssessment:
-    index: int
-    star_center: int | None
-    is_extremal_pattern: bool
-    interval_pattern_checked: bool
-    interval_pattern_holds: bool | None
-
-
-@frozen_record
 class UniquenessReport:
-    config: tuple[int, ...]
-    exhaustive: bool
-    witness_count: int
-    assessments: tuple[WitnessAssessment, ...]
-    all_witnesses_extremal: bool
+    """star_centers holds, for each witness, the center of its star, or of
+    its two stars when they share one, and None for any other witness."""
+
+    star_centers: tuple[int | None, ...]
     uniqueness_expected: bool
     ok: bool
 
@@ -493,21 +489,10 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
     """Classify each witness of a search result against the star pattern.
 
     For intersecting families the expected extremal shape is a star; for
-    cross pairs, two stars with a common center.  Where the ground set is
-    small enough (n <= 8) the interval trace of each witness is also checked
-    over all cyclic permutations; at boundary parameters (n == 2k, n == k + l)
-    that trace is necessary but not sufficient for stardom, so it is
-    reported, not enforced.  Uniqueness itself is only asserted strictly
-    inside the regime (n > 2k, n > k + l).
-
-    The star argument: in a cycle order with a full star's center at
-    position p, a window is a member exactly when it holds the center, that
-    is, runs through p; so (for member sizes below n, as every search's
-    regime gives) a star, or two stars on one center, shows the pattern in
-    every order.  Only the other witnesses are swept, through
-    cyclic._interval_patterns, so all-star results never import cyclic.  In
-    the strict regime ok already requires star witnesses, so the trace never
-    decides it.
+    cross pairs, two stars with a common center.  Uniqueness is asserted
+    only strictly inside the regime (n > 2k, n > k + l), where ok needs a
+    single witness class and a star-shaped one; at the boundary (n == 2k,
+    n == k + l) other classes tie with it, and ok holds.
 
     Only exhaustive results can be assessed; heuristic ones raise
     NotExhaustiveError.
@@ -516,40 +501,14 @@ def uniqueness_report(result: SearchResult) -> UniquenessReport:
         raise NotExhaustiveError(
             "uniqueness assessment needs an exhaustive search result"
         )
-    cfg = result.config
-    cross = len(cfg) == 3
-    n = cfg[0]
-    strict_regime = n > cfg[1] + cfg[2] if cross else n > 2 * cfg[1]
-    check_intervals = n <= MAX_SWEEP_GROUND
-    assessments = []
-    for idx, wit in enumerate(result.witnesses):
-        families = wit if cross else (wit,)
-        # a star, or stars on one center
-        centers = {is_star(f) for f in families}
-        center = centers.pop() if len(centers) == 1 else None
-        extremal = center is not None
-        holds = extremal if check_intervals else None  # stars hold by the star argument
-        if holds is False:
-            from .cyclic import _interval_patterns
-
-            holds = _interval_patterns(n, families)
-        assessments.append(
-            WitnessAssessment(
-                index=idx,
-                star_center=center,
-                is_extremal_pattern=extremal,
-                interval_pattern_checked=check_intervals,
-                interval_pattern_holds=holds,
-            )
-        )
-    all_extremal = all(a.is_extremal_pattern for a in assessments)
-    ok = not strict_regime or (len(result.witnesses) == 1 and all_extremal)
+    n, k, *l = result.config
+    strict_regime = n > k + (l[0] if l else k)
+    centers = []
+    for wit in result.witnesses:
+        found = {is_star(f) for f in (wit if l else (wit,))}
+        centers.append(found.pop() if len(found) == 1 else None)
     return UniquenessReport(
-        config=cfg,
-        exhaustive=result.exhaustive,
-        witness_count=len(result.witnesses),
-        assessments=tuple(assessments),
-        all_witnesses_extremal=all_extremal,
+        star_centers=tuple(centers),
         uniqueness_expected=strict_regime,
-        ok=ok,
+        ok=not strict_regime or (len(centers) == 1 and centers[0] is not None),
     )

@@ -24,9 +24,8 @@ from .errors import (
 
 MAX_GROUND = 63
 
-# The caps below belong to the search and cyclic engines, which import them
-# from here; they live in this module so that the CLI parser can print them
-# without loading either engine.
+# The caps below belong to search (the budgets) and cyclic (the sweeps); they
+# live here so that the CLI can print and check them without loading either.
 #
 # C(n, k) caps.  C(n, k) bounds memory, not search cost: the intersecting
 # search is fastest far from n = 2k ((12,3) and (10,4) take milliseconds,

@@ -15,22 +15,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .setcore import Family, _columns, _require_same_ground, element_degrees, frozen_record
-
-
-@frozen_record
-class Profile:
-    """counts[m] = number of pairs with intersection size exactly m."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def weighted_sum(self) -> int:
-        return sum(m * c for m, c in enumerate(self.counts))
+from .setcore import Family, _columns, _require_same_ground, element_degrees
 
 
 def omega_family(family: Family) -> int:
@@ -61,8 +46,9 @@ def pair_count(fam_a: Family, fam_b: Family, strict: bool = False) -> int:
     return pairs
 
 
-def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
-    """Histogram of |A ∩ B| over ordered pairs; indices 0..min(k_a, k_b).
+def intersection_profile(fam_a: Family, fam_b: Family) -> tuple[int, ...]:
+    """Histogram of |A ∩ B| over ordered pairs: entry m counts the pairs
+    meeting in exactly m elements, for m = 0..min(k_a, k_b).
 
     Let reach[j] be the number of pairs meeting in at least j elements.  A
     pair meeting in m elements shares C(m, i) i-sets, so the i-th moment is a
@@ -137,4 +123,4 @@ def intersection_profile(fam_a: Family, fam_b: Family) -> Profile:
     for i in range(depth, 0, -1):
         reach[i] = moments[i] - sum(comb(j - 1, i - 1) * reach[j] for j in range(i + 1, top + 1))
     reach.append(0)
-    return Profile(tuple(reach[m] - reach[m + 1] for m in range(top + 1)))
+    return tuple(reach[m] - reach[m + 1] for m in range(top + 1))

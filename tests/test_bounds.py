@@ -13,7 +13,6 @@ from intersum.bounds import (
     ekr_bound,
     omega_cross_bound,
     omega_intersecting_bound,
-    omega_strict_bound,
     pm_star_count,
     star_identity_check,
 )
@@ -69,21 +68,28 @@ def test_cross_bound_values():
         omega_cross_bound(3, True, True)
 
 
+def strict_bound(n, k):
+    """The ordered-pair total without equal pairs, as `bound strict` reports it:
+    each unordered pair of the family value counts twice."""
+    return 2 * omega_intersecting_bound(n, k).value
+
+
 def test_strict_bound_values():
-    assert omega_strict_bound(5, 2).value == 12
-    assert omega_strict_bound(4, 2).value == 6
+    assert strict_bound(5, 2) == 12
+    assert strict_bound(4, 2) == 6
     with pytest.raises(HypothesisError):
-        omega_strict_bound(3, 2)
+        strict_bound(3, 2)
 
 
 @given(st.integers(2, 20), st.data())
 def test_strict_is_cross_minus_diagonal(n, data):
     k = data.draw(st.integers(1, n // 2))
-    strict = omega_strict_bound(n, k).value
+    strict = strict_bound(n, k)
     cross = omega_cross_bound(n, k, k).value
     assert strict == cross - k * binom(n - 1, k - 1)
-    # factor-two route through the unordered form
-    assert strict == 2 * omega_intersecting_bound(n, k).value
+    # the star's ordered pairs of distinct members, counted at each element
+    c1, c2 = binom(n - 1, k - 1), binom(n - 2, k - 2)
+    assert strict == c1 * (c1 - 1) + (n - 1) * c2 * (c2 - 1)
 
 
 def test_pm_star_count_values():
@@ -102,9 +108,7 @@ def test_pm_star_count_names_the_bad_parameter():
         pm_star_count(5, 2, 2, -1)
 
 
-@pytest.mark.parametrize(
-    "evaluate", [ekr_bound, omega_intersecting_bound, omega_strict_bound, omega_cross_bound]
-)
+@pytest.mark.parametrize("evaluate", [ekr_bound, omega_intersecting_bound, omega_cross_bound])
 def test_bound_evaluators_name_the_first_bad_parameter(evaluate):
     # checked in the order n, k, l, before any regime test
     cross = evaluate is omega_cross_bound

@@ -60,6 +60,16 @@ def test_bound_variants(run_cli):
     assert run_cli("bound", "ekr", 6, 3)[1] == "10\n"
 
 
+def test_bound_strict_is_twice_the_family_bound(run_cli):
+    for n in range(2, 41):
+        for k in range(1, n // 2 + 1):
+            family = int(run_cli("bound", "family", n, k)[1])
+            assert run_cli("bound", "strict", n, k)[:2] == (EXIT_PASS, f"{2 * family}\n")
+            want = json.loads(run_cli("bound", "family", n, k, "--json")[1])["result"]
+            want.update(kind="strict", value=str(2 * family))
+            assert json.loads(run_cli("bound", "strict", n, k, "--json")[1])["result"] == want
+
+
 def test_bound_json_envelope(run_cli):
     code, out, _ = run_cli("bound", "family", 5, 2, "--json")
     assert code == EXIT_PASS
@@ -73,17 +83,17 @@ def test_bound_json_envelope(run_cli):
 
 
 def test_bound_below_hypothesis_is_usage_error(run_cli):
-    code, out, err = run_cli("bound", "family", 3, 2)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "error" in err.lower()
+    for kind in ("family", "strict"):  # strict is twice the family bound
+        code, out, err = run_cli("bound", kind, 3, 2)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: HypothesisError: intersecting omega bound needs n >= 2k, got n=3, k=2\n"
 
 
 def test_bound_caps_n_before_any_arithmetic(run_cli, monkeypatch):
     def refuse(*args):
         raise AssertionError("bound evaluated")
 
-    for kind in ("omega_intersecting", "omega_cross", "omega_strict", "ekr"):
+    for kind in ("omega_intersecting", "omega_cross", "ekr"):
         monkeypatch.setattr(bounds, f"{kind}_bound", refuse)
     over = cli.MAX_BOUND_GROUND + 1
     for argv in (
@@ -160,8 +170,8 @@ def test_omega_profile_recount_mismatch_exits_internal(run_cli, family_file, mon
     profile = intersum.intersection_profile
 
     def shifted(fam_a, fam_b):
-        counts = profile(fam_a, fam_b).counts
-        return intersum.Profile(counts[:-1] + (counts[-1] + 2,))
+        counts = profile(fam_a, fam_b)
+        return counts[:-1] + (counts[-1] + 2,)
 
     monkeypatch.setattr(intersum, "intersection_profile", shifted)
     path = family_file(star(5, 2, 1))
@@ -556,15 +566,17 @@ def test_each_command_imports_only_its_engine(tmp_path):
     assert engines_loaded(tmp_path) == "[]"
     assert engines_loaded(tmp_path, ["omega", "family", "fam.json", "--profile"]) == "['weights']"
     assert engines_loaded(tmp_path, ["verify", "identity", "--n-max", "6"]) == "['bounds']"
-    # search reads cyclic only to sweep the interval trace of a witness that
-    # is not a star (or a star pair on one center), and _anneal only to anneal
+    # search never reads cyclic, and reads _anneal only to anneal
     search_engines = "['bounds', 'search', 'weights']"
     assert engines_loaded(tmp_path, ["search-exact", "6", "2"]) == search_engines
-    for argv in (["8", "3", "--budget", "60"], ["7", "3", "2", "--budget", "40"]):
+    # (6,3) and (4,2,2) are boundary configs, each with a class that is no star
+    for argv in (
+        ["8", "3", "--budget", "60"],
+        ["7", "3", "2", "--budget", "40"],
+        ["6", "3"],
+        ["4", "2", "2"],
+    ):
         assert engines_loaded(tmp_path, ["verify", "extremal", *argv]) == search_engines
-    # (6,3) has a second class, the 3-sets of a 5-set, which is swept
-    exact_engines = "['bounds', 'cyclic', 'search', 'weights']"
-    assert engines_loaded(tmp_path, ["verify", "extremal", "6", "3"]) == exact_engines
     heuristic = ["search-heuristic", "8", "3", "--iterations", "50"]
     assert engines_loaded(tmp_path, heuristic) == "['_anneal', 'bounds', 'search', 'weights']"
 
@@ -580,13 +592,15 @@ def test_star_import_binds_every_public_name():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-    assert len(intersum.__all__) == 49 and "omega_family" in dir(intersum)
+    assert len(intersum.__all__) == 46 and "omega_family" in dir(intersum)
     retired = {
         "CyclicPerm",
         "Interval",
         "KSet",
         "Permutation",
+        "Profile",
         "RepresentablePair",
+        "WitnessAssessment",
         "apply_perm",
         "enumerate_cyclic",
         "fingerprint",
@@ -597,6 +611,7 @@ def test_star_import_binds_every_public_name():
         "max_omega_intersecting_naive",
         "meet_weight",
         "omega_generic",
+        "omega_strict_bound",
         "representable_pairs",
         "unit_weight",
     }
@@ -842,11 +857,11 @@ CONTRACT = [
     ("verify identity --n-max 10", "bd1357441ef6b71c"),
     ("verify identity --n-max 1", "569c4b5c3b633242"),
     ("verify identity --n-max 64", "271fd89048a933fb"),
-    ("verify extremal 5 2", "e9b61395a75f5104"),
-    ("verify extremal 4 2", "5e8267309f0f6939"),
-    ("verify extremal 5 2 2", "6f8ac8427cb5e6c2"),
-    ("verify extremal 5 3 2", "61ae751b1ed9c1c4"),
-    ("verify extremal 7 3 --budget 40", "c35d49666700f67d"),
+    ("verify extremal 5 2", "ba3bd3bea4243d12"),
+    ("verify extremal 4 2", "6f03181e67d4919b"),
+    ("verify extremal 5 2 2", "f2571227a46b10cb"),
+    ("verify extremal 5 3 2", "9cf0262ba875950d"),
+    ("verify extremal 7 3 --budget 40", "d16d58ae73e8de93"),
     ("verify extremal 4 3 1", "9ecaee7cb38d53a0"),
     ("search-exact 5 2", "f224e4e02c1a1373"),
     ("search-exact 5 2 2", "fe5c6636aadc02cb"),
@@ -884,7 +899,8 @@ def strip_runtimes_deep(node):
 
 
 def contract_digest(command):
-    """Digest of (exit code, stdout, stderr) for the text run and the --json run."""
+    """Digest of (exit code, stdout, stderr) for the text run and the --json
+    run; an exit-0 --json report must validate against the shipped schema."""
     seen = []
     for extra in ([], ["--json"]):
         out, err = io.StringIO(), io.StringIO()
@@ -895,7 +911,7 @@ def contract_digest(command):
             text += Path("out.txt").read_text()
             Path("out.txt").unlink()
         if extra and code == EXIT_PASS:
-            text = strip_runtimes_deep(json.loads(text))
+            text = strip_runtimes_deep(validated(text))
         seen.append([code, text, err.getvalue()])
     blob = json.dumps(seen, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -5,14 +5,13 @@ import hashlib
 import json
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersum.bounds import BoundValue, omega_cross_bound, omega_intersecting_bound
-from intersum.cyclic import _interval_patterns
 from intersum.errors import (
     BadSizeError,
     CounterexampleError,
@@ -41,7 +40,6 @@ from intersum.setcore import (
     is_star,
     ksubset_masks,
     make_family,
-    record_dict,
     star,
 )
 from intersum.weights import intersection_profile, omega_cross, omega_family
@@ -416,39 +414,41 @@ def _digest(obj):
 
 
 # Exact results pinned from the pair-summing searches: best value, a digest of
-# the witness classes and a digest of record_dict(uniqueness_report(...)).  (6,3)
-# and (4,2,2) are boundary configs with two optimal classes each, so a prune
-# that cuts a tie shows up there.  The last three rows were recorded from the
-# cross sweep over the k-side, before it swept the l-side; it took about 80 s
-# at (9,3,2).
+# the witness classes, and the uniqueness report's (star_centers,
+# uniqueness_expected, ok).  (6,3) and (4,2,2) are boundary configs with two
+# optimal classes each, the first not a star, so a prune that cuts a tie shows
+# up there.  The last three rows were recorded from the cross sweep over the
+# k-side, before it swept the l-side; it took about 80 s at (9,3,2).
+STAR = ((1,), True, True)
+BOUNDARY = ((None, 1), False, True)
 PINNED_EXACT = [
-    ((4, 2), 3, "5b25bb4f2e0dc894", "ea711671496b34b6"),
-    ((5, 2), 6, "1b3bef0b379419ac", "da7683bd1b6470ce"),
-    ((6, 2), 10, "45dfdacca5bba130", "bf316de8a24bc904"),
-    ((6, 3), 75, "1cf058c0c28305eb", "005f3bf8fcfbea2a"),
-    ((7, 3), 165, "8748f345e4214825", "b761911ad55def72"),
-    ((8, 2), 21, "4e91d3c753e1e55a", "66ed872c337b6342"),
-    ((8, 3), 315, "1c13212835205628", "e40b407df3efb97a"),
-    ((4, 2, 2), 12, "2b1bdaaef81a4ddd", "c4c0c14d152ba3f4"),
-    ((5, 2, 2), 20, "ce86ce520c34c10b", "09d1b30b3c03382a"),
-    ((6, 2, 2), 30, "4eef88178e390a6c", "5abd3ed4516519ef"),
-    ((6, 3, 2), 70, "f5d4848bc6e8ac4b", "9019d304dc4aaab6"),
-    ((7, 3, 2), 120, "7fbb5018413359ae", "939cb1c9af3ba7ad"),
-    ((8, 3, 2), 189, "dd4e4678c21f0610", "3793d7676f7c1497"),
-    ((7, 4, 2), 180, "96e604cbaf32eca9", "0d8dc446bb7654e6"),
-    ((9, 3, 2), 280, "7e64c32ea4561392", "150be5ab4abbf63c"),
+    ((4, 2), 3, "5b25bb4f2e0dc894", BOUNDARY),
+    ((5, 2), 6, "1b3bef0b379419ac", STAR),
+    ((6, 2), 10, "45dfdacca5bba130", STAR),
+    ((6, 3), 75, "1cf058c0c28305eb", BOUNDARY),
+    ((7, 3), 165, "8748f345e4214825", STAR),
+    ((8, 2), 21, "4e91d3c753e1e55a", STAR),
+    ((8, 3), 315, "1c13212835205628", STAR),
+    ((4, 2, 2), 12, "2b1bdaaef81a4ddd", BOUNDARY),
+    ((5, 2, 2), 20, "ce86ce520c34c10b", STAR),
+    ((6, 2, 2), 30, "4eef88178e390a6c", STAR),
+    ((6, 3, 2), 70, "f5d4848bc6e8ac4b", STAR),
+    ((7, 3, 2), 120, "7fbb5018413359ae", STAR),
+    ((8, 3, 2), 189, "dd4e4678c21f0610", STAR),
+    ((7, 4, 2), 180, "96e604cbaf32eca9", STAR),
+    ((9, 3, 2), 280, "7e64c32ea4561392", STAR),
 ]
 
 
-@pytest.mark.parametrize("config,value,witnesses,report", PINNED_EXACT)
-def test_exact_pinned(config, value, witnesses, report):
+@pytest.mark.parametrize("config,value,witnesses,uniqueness", PINNED_EXACT)
+def test_exact_pinned(config, value, witnesses, uniqueness):
     if len(config) == 2:
         r = max_omega_intersecting(*config, budget=256)
     else:
         r = max_omega_cross(*config, budget=256)
     u = uniqueness_report(r)
-    digests = (_witness_digest(r), _digest(record_dict(u)))
-    assert (r.best_value, *digests) == (value, witnesses, report)
+    got = (r.best_value, _witness_digest(r), (u.star_centers, u.uniqueness_expected, u.ok))
+    assert got == (value, witnesses, uniqueness)
 
 
 def test_element_tuples_match_the_bit_lists():
@@ -534,123 +534,14 @@ def test_search_result_equality_ignores_runtime():
 def test_uniqueness_strict_regime():
     u = uniqueness_report(max_omega_intersecting(5, 2))
     assert u.ok and u.uniqueness_expected
-    assert u.witness_count == 1 and u.all_witnesses_extremal
-    (a,) = u.assessments
-    assert a.star_center == 1 and a.is_extremal_pattern
-    assert a.interval_pattern_checked and a.interval_pattern_holds
+    assert u.star_centers == (1,)
 
 
 def test_uniqueness_boundary_regime():
     u = uniqueness_report(max_omega_intersecting(4, 2))
     assert u.ok and not u.uniqueness_expected
-    assert u.witness_count == 2 and not u.all_witnesses_extremal
-    flags = [(a.star_center, a.interval_pattern_holds) for a in u.assessments]
-    # the triangle also realizes the interval pattern without being a star
-    assert flags == [(None, True), (1, True)]
-
-
-def cycle_orders(n):
-    """Every cycle order of 1..n as an element tuple with 1 first."""
-    return [(1, *rest) for rest in permutations(range(2, n + 1))]
-
-
-def pattern_centers(order, family):
-    """Elements x whose length-k arcs are exactly the members of family that
-    are arcs of order; the arc at position s holds the k elements from s on."""
-    k, n = family.k, len(order)
-    member_bits = set(family.bitmasks)
-    present = {
-        s
-        for s in range(n)
-        if sum(1 << (order[(s + j) % n] - 1) for j in range(k)) in member_bits
-    }
-    return {
-        x
-        for x in range(1, n + 1)
-        if {(order.index(x) - j) % n for j in range(k)} == present
-    }
-
-
-def pattern_family_oracle(family):
-    return all(pattern_centers(order, family) for order in cycle_orders(family.n))
-
-
-def pattern_pair_oracle(fa, fb):
-    return all(
-        pattern_centers(order, fa) & pattern_centers(order, fb)
-        for order in cycle_orders(fa.n)
-    )
-
-
-@st.composite
-def pattern_families(draw, n=None):
-    """A family on n <= 7: random members, or a star with a few members
-    toggled (some still pass the check, most near-misses fail it)."""
-    n = n or draw(st.integers(2, 7))
-    k = draw(st.integers(1, n - 1))
-    universe = ksubset_masks(n, k)
-    if draw(st.booleans()):
-        masks = set(draw(st.lists(st.sampled_from(universe), min_size=1, unique=True)))
-    else:
-        masks = set(star(n, k, draw(st.integers(1, n))).bitmasks)
-        for m in draw(st.lists(st.sampled_from(universe), max_size=2)):
-            masks ^= {m}
-        masks = masks or {universe[0]}
-    return Family.from_bitmasks(n, k, masks)
-
-
-TRIANGLE_4_2 = make_family(4, 2, [[1, 2], [1, 3], [2, 3]])
-CLIQUE_6_3 = make_family(6, 3, combinations(range(1, 6), 3))
-
-
-@settings(max_examples=150, deadline=None)
-@given(pattern_families())
-@example(TRIANGLE_4_2)
-@example(CLIQUE_6_3)
-@example(star(7, 3, 4))
-@example(make_family(5, 2, [[1, 2], [1, 3], [2, 3]]))
-def test_interval_pattern_family_matches_oracle(family):
-    assert _interval_patterns(family.n, [family]) == pattern_family_oracle(family)
-
-
-@st.composite
-def pattern_pairs(draw):
-    n = draw(st.integers(2, 7))
-    fa = draw(pattern_families(n))
-    fb = draw(pattern_families(n))
-    return fa, fb
-
-
-@settings(max_examples=150, deadline=None)
-@given(pattern_pairs())
-@example((TRIANGLE_4_2, TRIANGLE_4_2))
-@example((star(6, 3, 2), star(6, 2, 2)))
-@example((star(6, 3, 2), star(6, 2, 5)))
-@example((CLIQUE_6_3, star(6, 1, 1)))
-def test_interval_pattern_pair_matches_oracle(pair):
-    fa, fb = pair
-    assert _interval_patterns(fa.n, [fa, fb]) == pattern_pair_oracle(fa, fb)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_full_stars_show_the_interval_pattern(n):
-    """uniqueness_report's star argument against the sweep: every full star
-    with member size below n, and every pair of them on one center, passes
-    _interval_patterns.  One sweep over every member size at a center covers
-    all those pairs, as the check asks for one position common to all the
-    families it is given."""
-    for x in range(1, n + 1):
-        assert _interval_patterns(n, [star(n, k, x) for k in range(1, n)])
-
-
-def test_interval_pattern_oracle_cases():
-    """The oracle itself on known cases: stars and the boundary triangle pass,
-    a non-star triangle off the boundary and stars with distinct centers fail."""
-    assert pattern_family_oracle(star(6, 2, 3))
-    assert pattern_family_oracle(TRIANGLE_4_2)
-    assert not pattern_family_oracle(make_family(5, 2, [[1, 2], [1, 3], [2, 3]]))
-    assert pattern_pair_oracle(star(6, 3, 2), star(6, 2, 2))
-    assert not pattern_pair_oracle(star(6, 3, 2), star(6, 2, 5))
+    # the triangle ties with the star at the boundary
+    assert u.star_centers == (None, 1)
 
 
 def test_uniqueness_requires_exhaustive():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from intersum.bounds import omega_cross_bound, omega_intersecting_bound
 from intersum.setcore import MAX_GROUND, Family, full_family, make_family, star
 from intersum.weights import (
-    Profile,
     intersection_profile,
     omega_cross,
     omega_cross_strict,
@@ -89,22 +88,21 @@ def test_cross_symmetry_and_strict_bound(pair):
 
 
 def test_intersection_profile_star_pair():
-    prof = intersection_profile(star(5, 2, 1), star(5, 2, 1))
-    assert isinstance(prof, Profile)
-    assert len(prof.counts) == 3
-    assert prof.total_pairs == 16
-    assert prof.weighted_sum == omega_cross(star(5, 2, 1), star(5, 2, 1)) == 20
+    s = star(5, 2, 1)
+    prof = intersection_profile(s, s)
+    assert sum(prof) == 16
+    assert sum(m * c for m, c in enumerate(prof)) == omega_cross(s, s) == 20
     # 4 identical pairs meet in 2, the 12 others share only the center
-    assert prof.counts == (0, 12, 4)
+    assert prof == (0, 12, 4)
 
 
 @settings(max_examples=60)
 @given(random_family(max_n=9, max_members=12))
 def test_profile_sums(fam):
     prof = intersection_profile(fam, fam)
-    assert sum(prof.counts) == prof.total_pairs == len(fam) ** 2
-    assert prof.weighted_sum == omega_cross(fam, fam)
-    assert len(prof.counts) == fam.k + 1
+    assert sum(prof) == len(fam) ** 2
+    assert sum(m * c for m, c in enumerate(prof)) == omega_cross(fam, fam)
+    assert len(prof) == fam.k + 1
 
 
 def ordered_pairs(fam_a, fam_b, strict=False):
@@ -195,9 +193,9 @@ CORE_MIRROR = Family.from_bitmasks(
 def test_intersection_profile_matches_pair_loop(pair):
     fa, fb = pair
     prof = intersection_profile(fa, fb)
-    assert prof.counts == pair_histogram(fa, fb)
+    assert prof == pair_histogram(fa, fb)
     assert intersection_profile(fb, fa) == prof
-    assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
+    assert intersection_profile(fa, fa) == pair_histogram(fa, fa)
 
 
 @st.composite
@@ -231,14 +229,14 @@ def sharing_last_pair(k):
 def test_intersection_profile_matches_pair_loop_on_any_ground(pair):
     # member bitsets are built by byte lanes of 64-bit words: reach every lane
     fa, fb = pair
-    assert intersection_profile(fa, fb).counts == pair_histogram(fa, fb)
-    assert intersection_profile(fa, fa).counts == pair_histogram(fa, fa)
+    assert intersection_profile(fa, fb) == pair_histogram(fa, fb)
+    assert intersection_profile(fa, fa) == pair_histogram(fa, fa)
 
 
 def test_intersection_profile_top_element():
     fa, fb = star(MAX_GROUND, 2, MAX_GROUND), full_family(MAX_GROUND, 1)
-    assert intersection_profile(fa, fb).counts == pair_histogram(fa, fb)
-    assert intersection_profile(fa, fb).counts[1] == 2 * (MAX_GROUND - 1)
+    assert intersection_profile(fa, fb) == pair_histogram(fa, fb)
+    assert intersection_profile(fa, fb)[1] == 2 * (MAX_GROUND - 1)
 
 
 @settings(max_examples=150)
@@ -263,6 +261,6 @@ def test_large_family_matches_pair_loops():
     assert omega_cross(f, f) == expect
     assert omega_family(f) == (expect - 3 * len(f)) // 2
     prof = intersection_profile(f, f)
-    assert prof.counts == pair_histogram(f, f)
-    assert prof.weighted_sum == expect
-    assert prof.total_pairs == len(f) ** 2
+    assert prof == pair_histogram(f, f)
+    assert sum(m * c for m, c in enumerate(prof)) == expect
+    assert sum(prof) == len(f) ** 2
