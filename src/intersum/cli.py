@@ -303,7 +303,7 @@ def _cmd_verify_doublecount(args):
             lines.append(
                 f"FAIL: m={m}: more than {m} distinct meets in one permutation"
             )
-        check = {name: v for name, v in record_dict(rep).items() if name not in ("n", "k", "l")}
+        check = record_dict(rep)
         # census totals grow without bound, so they cross JSON as strings
         for key in ("pair_count", "per_pair_expected", "lhs_total", "rhs_total"):
             check[key] = str(check[key])

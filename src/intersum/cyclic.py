@@ -185,9 +185,6 @@ def katona_verify(n: int, k: int, all_perms: bool = False) -> KatonaReport:
 class DoubleCountReport:
     """Census of representable pairs with a fixed meet size m."""
 
-    n: int
-    k: int
-    l: int
     m: int
     perms_checked: int
     pair_count: int
@@ -275,9 +272,6 @@ def double_count_check(fam_a: Family, fam_b: Family) -> tuple[DoubleCountReport,
         bound_ok = not check_bound or most_hits[m] <= m
         reports.append(
             DoubleCountReport(
-                n=n,
-                k=k,
-                l=l,
                 m=m,
                 perms_checked=factorial(n - 1),
                 pair_count=len(counts),

@@ -27,8 +27,9 @@ when it reaches the incumbent, so a tight result always has a witness; if no
 family attains the closed form, the search runs again from 0 and reports the
 true maximum, not tight.  So few raw winners are recorded (1 to 6 at every
 benchmark and README-table config, 35 at (5,3,2)) that each is canonicalised
-as it stands.  A budget caps C(n, k) and must lie in
-1..MAX_EXHAUSTIVE_BUDGET.  Every search, exact or annealing, takes its k-set
+as it stands.  Both searches run depth first on an explicit stack, never
+recursing, so the budget bounds their depth, not the recursion limit.  A
+budget caps C(n, k) and must lie in 1..MAX_EXHAUSTIVE_BUDGET.  Every search, exact or annealing, takes its k-set
 universe from _universe, the one place that refuses an oversized C(n, k).
 
 The heuristic, heuristic_max, is plain simulated annealing over families,
@@ -285,39 +286,35 @@ def max_omega_intersecting(
             blocked |= up[w]
         keep.append(~blocked)
 
-    raw: list[tuple[int, tuple[int, ...]]] = []
-    r: list[int] = []
-    deg = [0] * n
-
-    def expand(r_val: int, p_mask: int) -> None:
-        nonlocal best
-        if not p_mask:
-            if r and r_val >= best:
-                best = r_val
-                raw.append((r_val, tuple(r)))
-            return
-        # sum_x C(p(x), 2) = (sum_x p(x)^2 - k |P|) / 2
-        ps = [(p_mask & e).bit_count() for e in by_elem]
-        meets = (sum(map(mul, ps, ps)) - k * p_mask.bit_count()) // 2
-        if r_val + sum(map(mul, deg, ps)) + meets < best:
-            return
-        v = (p_mask & -p_mask).bit_length() - 1
-        xs = elems[v]
-        gain = sum(deg[x] for x in xs)
-        r.append(v)
-        for x in xs:
-            deg[x] += 1
-        expand(r_val + gain, p_mask & keep[v])
-        for x in xs:
-            deg[x] -= 1
-        r.pop()
-        expand(r_val, p_mask & ~up[v])
-
+    raw: list[tuple[int, int]] = []
     for best in (bound, 0):  # 0 only if no family attains the closed form
-        expand(0, full)
+        # nodes (value, P, members, degrees), members an index bitset; none
+        # changes once pushed, and the take-child is pushed last, so it is
+        # searched first
+        stack = [(0, full, 0, [0] * n)]
+        while stack:
+            r_val, p_mask, members, deg = stack.pop()
+            if not p_mask:
+                if members and r_val >= best:
+                    best = r_val
+                    raw.append((r_val, members))
+                continue
+            # sum_x C(p(x), 2) = (sum_x p(x)^2 - k |P|) / 2
+            ps = [(p_mask & e).bit_count() for e in by_elem]
+            meets = (sum(map(mul, ps, ps)) - k * p_mask.bit_count()) // 2
+            if r_val + sum(map(mul, deg, ps)) + meets < best:
+                continue
+            v = (p_mask & -p_mask).bit_length() - 1
+            xs = elems[v]
+            gain = sum(deg[x] for x in xs)
+            taken = list(deg)
+            for x in xs:
+                taken[x] += 1
+            stack.append((r_val, p_mask & ~up[v], members, deg))
+            stack.append((r_val + gain, p_mask & keep[v], members | 1 << v, taken))
         if raw:
             break
-    winners = [([universe[i] for i in idxs],) for val, idxs in raw if val == best]
+    winners = [([universe[i] for i in _bits_list(m)],) for val, m in raw if val == best]
     witnesses = tuple(fam for (fam,) in _witness_classes(n, (k,), winners))
     return _finish((n, k), best, bound, witnesses, t0, exhaustive=True, seed=None)
 
@@ -365,44 +362,38 @@ def max_omega_cross(
         suffix.append(row)
     suffix.reverse()
 
-    raw: list[tuple[int, tuple[int, ...], int]] = []
-    s_idx: list[int] = []
-    d_s = [0] * n
-
-    def sweep(i: int, pmask: int, val: int, d_p: list[int]) -> None:
-        # the partner pmask is never empty: a swept set is taken only if
-        # some k-set still meets it
-        nonlocal best
-        if i == ns:
-            if val >= best:
-                best = val
-                raw.append((val, tuple(s_idx), pmask))
-            return
-        if val + sum(map(mul, suffix[i], d_p)) < best:
-            return
-        np_mask = pmask & compat[i]
-        if np_mask:
-            xs = elems[i]
-            nd_p = d_p if np_mask == pmask else [(np_mask & e).bit_count() for e in p_by_elem]
-            # the k-sets leaving the partner hold d_p[x] - nd_p[x] copies of x
-            nval = val + sum(nd_p[x] for x in xs) - sum(map(mul, d_s, map(sub, d_p, nd_p)))
-            s_idx.append(i)
-            for x in xs:
-                d_s[x] += 1
-            sweep(i + 1, np_mask, nval, nd_p)
-            for x in xs:
-                d_s[x] -= 1
-            s_idx.pop()
-        if i:  # B always holds swept[0] = {1..l}
-            sweep(i + 1, pmask, val, d_p)
-
+    raw: list[tuple[int, int, int]] = []
     full_p = (1 << len(partner)) - 1
     for best in (bound, 0):  # 0 only if no pair attains the closed form
-        sweep(0, full_p, 0, [e.bit_count() for e in p_by_elem])
+        # nodes (next swept index, partner, value, d_A, B, d_B), B an index
+        # bitset, as in max_omega_intersecting; the partner is never empty,
+        # since a swept set is taken only if some k-set still meets it
+        stack = [(0, full_p, 0, [e.bit_count() for e in p_by_elem], 0, [0] * n)]
+        while stack:
+            i, pmask, val, d_p, s_mask, d_s = stack.pop()
+            if i == ns:
+                if val >= best:
+                    best = val
+                    raw.append((val, s_mask, pmask))
+                continue
+            if val + sum(map(mul, suffix[i], d_p)) < best:
+                continue
+            if i:  # B always holds swept[0] = {1..l}
+                stack.append((i + 1, pmask, val, d_p, s_mask, d_s))
+            np_mask = pmask & compat[i]
+            if np_mask:
+                xs = elems[i]
+                nd_p = d_p if np_mask == pmask else [(np_mask & e).bit_count() for e in p_by_elem]
+                # the k-sets leaving the partner hold d_p[x] - nd_p[x] copies of x
+                nval = val + sum(nd_p[x] for x in xs) - sum(map(mul, d_s, map(sub, d_p, nd_p)))
+                nd_s = list(d_s)
+                for x in xs:
+                    nd_s[x] += 1
+                stack.append((i + 1, np_mask, nval, nd_p, s_mask | 1 << i, nd_s))
         if raw:
             break
     winners = [
-        ([partner[j] for j in _bits_list(p)], [swept[i] for i in s])
+        ([partner[j] for j in _bits_list(p)], [swept[i] for i in _bits_list(s)])
         for val, s, p in raw
         if val == best
     ]

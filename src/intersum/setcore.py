@@ -98,11 +98,12 @@ def frozen_record(cls=None, *, uncompared: tuple[str, ...] = ()):
     assigned to one in the body is its default.  Each method below is added
     unless the body defines it: __init__ (arguments by position or keyword),
     __repr__, and __eq__ and __hash__ over the fields not named in
-    `uncompared`, the hash being that of their tuple.  __reduce__ rebuilds a
-    record through __init__, and assigning or deleting an attribute raises
-    AttributeError.  The methods are closures over the field names, so unlike
-    dataclasses no code is compiled when a record class is defined, and
-    neither `dataclasses` nor `inspect` is imported.
+    `uncompared`, the hash being that of their tuple.  Every record has at
+    least two compared fields, so attrgetter(*compared) returns that tuple.
+    __reduce__ rebuilds a record through __init__, and assigning or deleting
+    an attribute raises AttributeError.  The methods are closures over the
+    field names, so unlike dataclasses no code is compiled when a record
+    class is defined, and neither `dataclasses` nor `inspect` is imported.
     """
     if cls is None:
         return lambda c: frozen_record(c, uncompared=uncompared)
@@ -110,11 +111,7 @@ def frozen_record(cls=None, *, uncompared: tuple[str, ...] = ()):
     names = tuple(body.get("__annotations__", ()))
     defaults = {name: body[name] for name in names if name in body}
     compared = tuple(name for name in names if name not in uncompared)
-    if len(compared) > 1:
-        key = attrgetter(*compared)
-    else:
-        (only,) = compared
-        key = lambda self: (getattr(self, only),)  # noqa: E731
+    key = attrgetter(*compared)
     title = cls.__name__
 
     def __init__(self, *args, **kwargs) -> None:

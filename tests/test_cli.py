@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intersum
-from intersum import _anneal, bounds, cli, search
+from intersum import _anneal, bounds, cli, cyclic, search
 from intersum.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -436,6 +436,32 @@ def test_verify_doublecount_refuses_large_n_before_building_stars(run_cli, monke
     code, out, err = run_cli("verify", "doublecount", 40, 20, 20)
     assert (code, out) == (EXIT_RESOURCE, "")
     assert "n <= 8" in err
+
+
+def test_verify_doublecount_fail_text(run_cli, monkeypatch):
+    bad = cyclic.DoubleCountReport(
+        m=1,
+        perms_checked=24,
+        pair_count=12,
+        per_pair_expected=2,
+        per_pair_ok=False,
+        lhs_total=25,
+        rhs_total=24,
+        meets_distinct_ok=True,
+        meet_bound_checked=True,
+        meet_bound_ok=False,
+        max_meets_in_one_perm=2,
+        ok=False,
+    )
+    monkeypatch.setattr(cyclic, "double_count_check", lambda fam_a, fam_b: (bad,))
+    code, out, _ = run_cli("verify", "doublecount", 5, 2, 2)
+    assert code == EXIT_FAIL
+    assert out.splitlines() == [
+        "FAIL: m=1: sweep total 25 == 12 pair(s) x 2 permutation(s) each"
+        " over 24 cyclic permutations",
+        "FAIL: m=1: per-pair census is not uniform",
+        "FAIL: m=1: more than 1 distinct meets in one permutation",
+    ]
 
 
 def test_verify_doublecount_workers_match(run_cli):

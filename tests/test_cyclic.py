@@ -177,9 +177,6 @@ def oracle_double_count(fam_a, fam_b, m):
     per_pair_ok = all(c == factor for c in per_pair)
     lhs, rhs = sum(per_pair), len(pairs) * factor
     return DoubleCountReport(
-        n=n,
-        k=k,
-        l=l,
         m=m,
         perms_checked=math.factorial(n - 1),
         pair_count=len(pairs),

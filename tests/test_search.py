@@ -4,8 +4,12 @@ uniqueness reports."""
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -472,6 +476,31 @@ def test_budget_range():
         assert run(search.MAX_EXHAUSTIVE_BUDGET).best_value > 0
 
 
+def test_exact_searches_need_no_recursion_depth():
+    # the searches keep their nodes on an explicit stack; a fresh interpreter
+    # is needed because pytest's own frames already pass a limit of 60
+    src = str(Path(search.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from intersum.search import max_omega_cross, max_omega_intersecting\n"
+        "sys.setrecursionlimit(60)\n"
+        "print(max_omega_intersecting(10, 4, budget=256).best_value,"
+        " max_omega_cross(12, 3, 2, budget=256).best_value)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "6888 715\n"
+
+
+def test_exact_search_past_the_ceiling_is_tight(monkeypatch):
+    # (14,6) decides more sets on one path than the default recursion limit allows
+    monkeypatch.setattr(search, "MAX_EXHAUSTIVE_BUDGET", 3003)
+    res = max_omega_intersecting(14, 6, budget=3003)
+    assert (res.best_value, res.bound, res.tight) == (2_416_986, 2_416_986, True)
+    assert [is_star(f) for f in res.witnesses] == [1]
+
+
 @pytest.fixture
 def no_universe(monkeypatch):
     """Fail any search that gets as far as building its k-set universe."""
@@ -722,6 +751,15 @@ def test_one_step_runs_report_the_greedy_completion(n, k):
         assert is_intersecting(fam) and r.best_value == omega_family(fam)
         outside = [m for m in ksubset_masks(n, k) if m not in members]
         assert all(any(not m & b for b in members) for m in outside)
+
+
+def test_sampled_annealer_survives_failed_draws(monkeypatch):
+    # with no adjacency bitsets every move samples; at (6,3) the rejection
+    # sampler often finds no compatible set, and grow and swap then skip
+    monkeypatch.setattr(_anneal, "_SA_ADJ_CAP", 0)
+    r = heuristic_max(6, 3, config=HeuristicConfig(seed=1, iterations=300, restarts=2))
+    (fam,) = r.witnesses
+    assert is_intersecting(fam) and omega_family(fam) == r.best_value == 75
 
 
 @settings(max_examples=200, deadline=None)
